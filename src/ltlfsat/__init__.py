@@ -1,9 +1,9 @@
 """Satisfiability checking for linear temporal logic over finite traces."""
 
 from .abstraction import Assignment, Encoder, propositional_atoms, xnf
-from .bench import BenchSpec, Limits, gen_conjunction, gen_pattern, gen_random, run_suite
-from .cdlsc import Verdict, check, inv_found, reconstruct_witness
-from .errors import ResourceAbort
+from .bench import BenchSpec, gen_conjunction, gen_pattern, gen_random, run_suite
+from .cdlsc import Verdict, check, inv_found, reconstruct_witness, solve
+from .errors import Limits, ResourceAbort
 from .formula import (
     TAIL,
     TRUE,

@@ -121,10 +121,8 @@ class Encoder:
     run in parallel.
     """
 
-    def __init__(self, *, phase_hint=False, check_cores=True, dump_dir=None,
-                 conflict_budget=None):
-        self.solver = SatSolver(phase_hint=phase_hint, conflict_budget=conflict_budget)
-        self.check_cores = check_cores
+    def __init__(self, *, phase_hint=False, dump_dir=None):
+        self.solver = SatSolver(phase_hint=phase_hint)
         self.sat_calls = 0
         self._atom_vars = {}
         self._def_vars = {}
@@ -240,8 +238,7 @@ class Encoder:
 
         Satisfiable queries return the assignment restricted to the state's
         relevant atoms (plus Tail for final-position queries); unsatisfiable
-        ones return the member core, re-checked in isolation unless core
-        checking is off.
+        ones return the member core, re-checked in isolation.
         """
         members = sorted(state, key=lambda g: g.uid)
         entries = [self.member(psi) for psi in members]
@@ -275,7 +272,7 @@ class Encoder:
         )
         # an empty core is legitimate: the context alone (e.g. exhausted
         # enumeration blockers) is already contradictory
-        if self.check_cores and not _recheck and core != state:
+        if not _recheck and core != state:
             again = self.query(core, final=final, acts=acts, _recheck=True)
             assert not again.sat, "unsat core is satisfiable when re-queried alone"
         return QueryOutcome(None, core)

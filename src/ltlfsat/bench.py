@@ -16,8 +16,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from . import cdlsc
-from .errors import ResourceAbort
+from .cdlsc import solve
+from .errors import Limits, ResourceAbort
 from .formula import (
     FALSE,
     TRUE,
@@ -32,11 +32,8 @@ from .formula import (
     Until,
     parse,
     render,
-    to_nnf,
-    to_tnf,
 )
-from .semantics import brute_force_sat, evaluate
-from .transition import naive_check
+from .semantics import evaluate
 
 _PROB_SCALE = 1 << 16
 
@@ -230,14 +227,6 @@ def instances(spec):
 
 
 @dataclass(frozen=True)
-class Limits:
-    timeout: float | None = None
-    max_frames: int | None = None
-    state_limit: int = 1 << 20
-    brute_bound: int = 8
-
-
-@dataclass(frozen=True)
 class BenchRow:
     id: str
     family: str
@@ -283,44 +272,19 @@ def run_instance(instance_id, family, text, solver, limits):
     recorded, never turned into verdicts."""
     original = parse(text)
     start = time.monotonic()
-    states = 0
-    calls = 0
     try:
-        if solver == "cdlsc":
-            verdict = cdlsc.check(
-                original,
-                timeout=limits.timeout,
-                max_frames=limits.max_frames,
-            )
-            states = verdict.stats.states_expanded
-            calls = verdict.stats.sat_calls
-            sat = verdict.sat
-            witness = verdict.witness
-        elif solver == "naive":
-            result = naive_check(
-                to_tnf(to_nnf(original)),
-                state_limit=limits.state_limit,
-                timeout=limits.timeout,
-            )
-            states = result.states_expanded
-            calls = result.sat_calls
-            sat = result.sat
-            witness = result.witness
-        elif solver == "brute":
-            witness = brute_force_sat(original, limits.brute_bound, timeout=limits.timeout)
-            sat = witness is not None
-        else:
-            raise ValueError(f"unknown solver selector {solver!r}")
+        verdict = solve(original, solver, limits=limits)
     except ResourceAbort as abort:
         elapsed = (time.monotonic() - start) * 1000.0
-        states = getattr(abort, "states_expanded", states)
-        return BenchRow(instance_id, family, f"abort:{abort.kind}", states, calls,
+        states = getattr(abort, "states_expanded", 0)
+        return BenchRow(instance_id, family, f"abort:{abort.kind}", states, 0,
                         elapsed, False)
     elapsed = (time.monotonic() - start) * 1000.0
     verified = True
-    if sat:
-        verified = evaluate(witness, original)
-    return BenchRow(instance_id, family, "sat" if sat else "unsat", states, calls,
+    if verdict.sat:
+        verified = evaluate(verdict.witness, original)
+    return BenchRow(instance_id, family, "sat" if verdict.sat else "unsat",
+                    verdict.stats.states_expanded, verdict.stats.sat_calls,
                     elapsed, verified)
 
 

@@ -15,11 +15,19 @@ import time
 from dataclasses import dataclass
 
 from .abstraction import Encoder
-from .errors import FrameLimitExceeded, SatCallLimitExceeded, TimeoutExceeded
+from .errors import (
+    FrameLimitExceeded,
+    Limits,
+    SatCallLimitExceeded,
+    TimeoutExceeded,
+    TraceBoundExceeded,
+)
 from .formula import TAIL, FiniteTrace, atoms, closure, is_tnf, to_nnf, to_tnf
 from .satengine import SatSolver
-from .semantics import evaluate
-from .transition import assemble_trace, state_of, successor_state
+from .semantics import brute_force_sat, evaluate
+from .transition import assemble_trace, naive_check, state_of, successor_state
+
+ENGINES = ("cdlsc", "naive", "brute")
 
 
 @dataclass
@@ -30,19 +38,21 @@ class Stats:
     elapsed: float = 0.0
 
 
-@dataclass(frozen=True)
-class DebugInfo:
-    frames: tuple
-    spine: tuple | None
-
-
 @dataclass
 class Verdict:
+    """Outcome of a decided run.
+
+    `frames` are the conflict-driven checker's frames when the verdict was
+    reached; `spine` is the state path of a witness found by its successor
+    search. Both stay empty for the other engines.
+    """
+
     sat: bool
     witness: FiniteTrace | None
     invariant_level: int | None
     stats: Stats
-    debug: DebugInfo | None = None
+    frames: tuple = ()
+    spine: tuple | None = None
 
 
 class WitnessError(AssertionError):
@@ -150,20 +160,26 @@ def reconstruct_witness(labels, final_assignment, original, *, keep_tail=False):
     return trace
 
 
+def normalise(f, raw_tnf=False):
+    """The tail-marked form the engines run on.
+
+    With raw_tnf the input is taken as already tail-marked and only its
+    shape is checked.
+    """
+    if raw_tnf:
+        if not is_tnf(f):
+            raise ValueError("raw TNF input must be NNF and weak-next-free")
+        return f
+    return to_tnf(to_nnf(f))
+
+
 class _Run:
     def __init__(self, original, *, raw_tnf, max_frames, max_sat_calls, timeout,
-                 phase_hint, check_cores, dump_dir, iteration_hook, keep_debug):
+                 dump_dir, iteration_hook):
         self.original = original
         self.raw = raw_tnf
-        if raw_tnf:
-            if not is_tnf(original):
-                raise ValueError("raw TNF input must be NNF and weak-next-free")
-            self.tnf = original
-        else:
-            self.tnf = to_tnf(to_nnf(original))
-        self.encoder = Encoder(
-            phase_hint=phase_hint, check_cores=check_cores, dump_dir=dump_dir
-        )
+        self.tnf = normalise(original, raw_tnf)
+        self.encoder = Encoder(dump_dir=dump_dir)
         self.s0 = state_of(self.tnf)
         if max_frames is None:
             max_frames = 1 << len(closure(self.tnf))
@@ -172,7 +188,6 @@ class _Run:
         self.deadline = None if timeout is None else time.monotonic() + timeout
         self.timeout = timeout
         self.iteration_hook = iteration_hook
-        self.keep_debug = keep_debug
         self.seen = {self.s0}
         self.sequence = ConflictSequence(self.encoder)
         self.spine = None
@@ -233,8 +248,7 @@ class _Run:
             if level == 0:
                 fout = self.encoder.query(succ, final=True)
                 if fout.sat:
-                    if self.keep_debug:
-                        self.spine = tuple(spine + [succ])
+                    self.spine = tuple(spine + [succ])
                     return labels + [out.assignment], fout.assignment
                 self.sequence.add_core(0, fout.core)
                 continue
@@ -256,22 +270,16 @@ class _Run:
         witness = reconstruct_witness(
             labels, final_assignment, target, keep_tail=self.raw
         )
-        debug = None
-        if self.keep_debug:
-            debug = DebugInfo(self.sequence.snapshot(), self.spine)
-        return Verdict(True, witness, None, self._stats(start), debug)
+        return Verdict(True, witness, None, self._stats(start),
+                       self.sequence.snapshot(), self.spine)
 
     def _unsat_verdict(self, level, start):
-        debug = None
-        if self.keep_debug:
-            debug = DebugInfo(self.sequence.snapshot(), None)
-        return Verdict(False, None, level, self._stats(start), debug)
+        return Verdict(False, None, level, self._stats(start), self.sequence.snapshot())
 
 
 def check(f, *, raw_tnf=False, max_frames=None, max_sat_calls=None, timeout=None,
-          phase_hint=False, check_cores=True, dump_dir=None, iteration_hook=None,
-          keep_debug=False):
-    """Decide satisfiability of f.
+          dump_dir=None, iteration_hook=None):
+    """Decide satisfiability of f with the conflict-driven checker.
 
     Unless raw_tnf is set, f is normalized internally and witnesses are
     reported over its own atoms; with raw_tnf the input is taken as already
@@ -284,10 +292,36 @@ def check(f, *, raw_tnf=False, max_frames=None, max_sat_calls=None, timeout=None
         max_frames=max_frames,
         max_sat_calls=max_sat_calls,
         timeout=timeout,
-        phase_hint=phase_hint,
-        check_cores=check_cores,
         dump_dir=dump_dir,
         iteration_hook=iteration_hook,
-        keep_debug=keep_debug,
     )
     return run.check()
+
+
+def solve(f, engine, *, raw_tnf=False, limits=Limits(), dump_dir=None):
+    """Decide f with one engine ("cdlsc", "naive" or "brute") under limits.
+
+    Each engine reads the limits it has. "brute" enumerates traces up to
+    limits.brute_bound only, so when it finds no witness it raises
+    TraceBoundExceeded: a bounded miss is an abort, never "unsat". A clause
+    dump directory applies to "cdlsc" only.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; choose one of {ENGINES}")
+    if engine == "cdlsc":
+        return check(f, raw_tnf=raw_tnf, max_frames=limits.max_frames,
+                     timeout=limits.timeout, dump_dir=dump_dir)
+    if dump_dir is not None:
+        raise ValueError("clause dumps are written by the cdlsc engine only")
+    if engine == "naive":
+        tnf = normalise(f, raw_tnf)
+        start = time.monotonic()
+        result = naive_check(tnf, state_limit=limits.state_limit, timeout=limits.timeout)
+        witness = result.witness_with_tail if raw_tnf else result.witness
+        stats = Stats(result.states_expanded, result.sat_calls, 0, time.monotonic() - start)
+        return Verdict(result.sat, witness, None, stats)
+    start = time.monotonic()
+    witness = brute_force_sat(f, limits.brute_bound, timeout=limits.timeout)
+    if witness is None:
+        raise TraceBoundExceeded(limits.brute_bound)
+    return Verdict(True, witness, None, Stats(elapsed=time.monotonic() - start))

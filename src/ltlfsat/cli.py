@@ -10,11 +10,11 @@ import argparse
 import sys
 
 from . import bench as benchmod
-from . import cdlsc
-from .errors import ResourceAbort
-from .formula import FiniteTrace, ParseError, atoms, parse, to_nnf, to_tnf
+from .cdlsc import ENGINES, normalise, solve
+from .errors import Limits, ResourceAbort
+from .formula import FiniteTrace, ParseError, atoms, parse
 from .semantics import brute_force_sat, evaluate
-from .transition import bfs_depth, build_full_system, export_dot, naive_check
+from .transition import brute_bound, build_full_system, export_dot
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -49,7 +49,7 @@ def _build_parser():
     _add_formula_args(check)
     check.add_argument("--raw-tnf", action="store_true",
                        help="treat the input as already tail-marked; Tail allowed")
-    check.add_argument("--oracle", choices=("cdlsc", "naive", "brute"), default="cdlsc")
+    check.add_argument("--oracle", choices=ENGINES, default="cdlsc")
     check.add_argument("--max-frames", type=int, default=None)
     check.add_argument("--timeout", type=float, default=None)
     check.add_argument("--brute-bound", type=int, default=8,
@@ -74,8 +74,8 @@ def _build_parser():
 
     bench = subs.add_parser("bench", help="run a benchmark suite")
     _add_gen_args(bench)
-    bench.add_argument("--oracle", choices=("cdlsc", "naive", "brute"), default="cdlsc")
-    bench.add_argument("--cross-check", choices=("cdlsc", "naive", "brute"), default=None,
+    bench.add_argument("--oracle", choices=ENGINES, default="cdlsc")
+    bench.add_argument("--cross-check", choices=ENGINES, default=None,
                        help="also run this engine and flag verdict disagreements")
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--timeout", type=float, default=None,
@@ -143,55 +143,31 @@ def _emit_witness(witness, out):
 
 def _cmd_check(args):
     original = _load_formula(args)
-    if args.oracle == "cdlsc":
-        verdict = cdlsc.check(
-            original,
-            raw_tnf=args.raw_tnf,
-            max_frames=args.max_frames,
-            timeout=args.timeout,
-            dump_dir=args.dump_cnf,
-        )
-        sat = verdict.sat
-        witness = verdict.witness
-        print(f"verdict: {'sat' if sat else 'unsat'}")
-        if sat:
-            _emit_witness(witness, args.out)
-        else:
-            print(f"invariant_level: {verdict.invariant_level}")
-        _print_stats(verdict.stats)
-    elif args.oracle == "naive":
-        f = original if args.raw_tnf else to_tnf(to_nnf(original))
-        result = naive_check(f, timeout=args.timeout)
-        sat = result.sat
-        print(f"verdict: {'sat' if sat else 'unsat'}")
-        if sat:
-            witness = result.witness_with_tail if args.raw_tnf else result.witness
-            _emit_witness(witness, args.out)
-        print(f"stats: states_expanded={result.states_expanded} sat_calls={result.sat_calls}")
-    else:
-        witness = brute_force_sat(original, args.brute_bound, timeout=args.timeout)
-        sat = witness is not None
-        print(f"verdict: {'sat' if sat else f'unsat up to length {args.brute_bound}'}")
-        if sat:
-            _emit_witness(witness, args.out)
-    return EXIT_SAT if sat else EXIT_UNSAT
+    limits = Limits(timeout=args.timeout, max_frames=args.max_frames,
+                    brute_bound=args.brute_bound)
+    verdict = solve(original, args.oracle, raw_tnf=args.raw_tnf, limits=limits,
+                    dump_dir=args.dump_cnf)
+    print(f"verdict: {'sat' if verdict.sat else 'unsat'}")
+    if verdict.sat:
+        _emit_witness(verdict.witness, args.out)
+    elif verdict.invariant_level is not None:
+        print(f"invariant_level: {verdict.invariant_level}")
+    _print_stats(verdict.stats)
+    return EXIT_SAT if verdict.sat else EXIT_UNSAT
 
 
 def _cmd_oracle(args):
     original = _load_formula(args)
-    verdicts = {}
-    verdict = cdlsc.check(original, raw_tnf=args.raw_tnf, timeout=args.timeout)
-    verdicts["cdlsc"] = verdict.sat
-    f = original if args.raw_tnf else to_tnf(to_nnf(original))
-    result = naive_check(f, timeout=args.timeout)
-    verdicts["naive"] = result.sat
+    limits = Limits(timeout=args.timeout)
+    verdicts = {
+        engine: solve(original, engine, raw_tnf=args.raw_tnf, limits=limits).sat
+        for engine in ("cdlsc", "naive")
+    }
     if len(atoms(original)) <= 4:
-        full = build_full_system(f, exhaustive=True, timeout=args.timeout)
-        bound = full.state_count + 1
-        # fall back to a shortest-path bound when plain enumeration to the
-        # state count would blow the trace budget
-        if (1 << len(atoms(original))) ** bound > 1 << 24:
-            bound = max(bfs_depth(full) + 2, 8)
+        # brute force is complete only up to the system's witness-length bound
+        full = build_full_system(normalise(original, args.raw_tnf), exhaustive=True,
+                                 timeout=args.timeout)
+        bound = brute_bound(original, full)
         witness = brute_force_sat(original, bound, timeout=args.timeout)
         verdicts["brute"] = witness is not None
     for name, sat in verdicts.items():
@@ -225,7 +201,7 @@ def _cmd_gen(args):
 
 def _cmd_bench(args):
     spec = _spec_from_args(args)
-    limits = benchmod.Limits(
+    limits = Limits(
         timeout=args.timeout,
         max_frames=args.max_frames,
         state_limit=args.state_limit,
@@ -260,9 +236,8 @@ def _cmd_bench(args):
 
 
 def _cmd_dump_ts(args):
-    original = _load_formula(args)
-    f = original if args.raw_tnf else to_tnf(to_nnf(original))
-    ts = build_full_system(f, state_limit=args.state_limit, exhaustive=True)
+    ts = build_full_system(normalise(_load_formula(args), args.raw_tnf),
+                           state_limit=args.state_limit, exhaustive=True)
     text = export_dot(ts)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -291,7 +266,7 @@ def main(argv=None):
     except ResourceAbort as abort:
         print(f"aborted: {abort}", file=sys.stderr)
         return EXIT_ABORT
-    except (ParseError, ValueError, OSError) as err:
+    except (ParseError, ValueError, OSError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,8 +1,22 @@
-"""Resource-limit errors shared across the package.
+"""Resource limits and the errors raised when a run exceeds one.
 
-These are raised instead of returning a verdict: a run that hits a limit
-aborts loudly and never reports sat/unsat.
+A run that hits a limit raises instead of returning a verdict: it aborts
+loudly and never reports sat/unsat.
 """
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Limits:
+    """Resource limits of one engine run; each engine reads the ones it has."""
+
+    timeout: float | None = None
+    max_frames: int | None = None
+    state_limit: int = 1 << 20
+    brute_bound: int = 8
 
 
 class ResourceAbort(RuntimeError):
@@ -37,7 +51,9 @@ class SatCallLimitExceeded(ResourceAbort):
         self.limit = limit
 
 
-class SolverBudgetExceeded(ResourceAbort):
-    def __init__(self, budget):
-        super().__init__("solver_budget", f"solver conflict budget of {budget} exceeded")
-        self.budget = budget
+class TraceBoundExceeded(ResourceAbort):
+    """Bounded enumeration found no witness; that is not unsatisfiability."""
+
+    def __init__(self, bound):
+        super().__init__("trace_bound", f"no witness up to trace length {bound}")
+        self.bound = bound

@@ -473,7 +473,11 @@ def _tokenize(text):
 
 
 def parse(text):
-    """Parse a formula; globally/eventually and implications are desugared."""
+    """Parse a formula; globally/eventually and implications are desugared.
+
+    Input nested beyond the interpreter's recursion limit, including long
+    flat chains of a right-associative operator, is a ParseError.
+    """
     tokens = _tokenize(text)
     if tokens[0][0] == "eof":
         raise ParseError("empty input", tokens[0][2], tokens[0][3])
@@ -568,7 +572,11 @@ def parse(text):
             return inner
         raise ParseError(f"expected a formula but found {word or 'end of input'!r}", ln, cl)
 
-    f = p_iff()
+    try:
+        f = p_iff()
+    except RecursionError:
+        _, _, ln, cl = peek()
+        raise ParseError("formula nested too deeply to parse", ln, cl) from None
     kind, word, ln, cl = peek()
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {word!r}", ln, cl)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import SolverBudgetExceeded
-
 _VAR_DECAY = 1.0 / 0.95
 _RESCALE_AT = 1e100
 
@@ -27,7 +25,7 @@ class SolveResult:
 
 
 class SatSolver:
-    def __init__(self, *, phase_hint=False, conflict_budget=None):
+    def __init__(self, *, phase_hint=False):
         self.nvars = 0
         self.assigns = [None]
         self.level = [0]
@@ -42,7 +40,6 @@ class SatSolver:
         self.qhead = 0
         self.root_unsat = False
         self.var_inc = 1.0
-        self.conflict_budget = conflict_budget
         self.total_conflicts = 0
         self._heap = []
 
@@ -256,8 +253,7 @@ class SatSolver:
         """Solve under the given assumption literals.
 
         Returns SAT with a total model over all variables, or UNSAT with the
-        failed subset of the assumptions. Raises SolverBudgetExceeded when a
-        conflict budget is configured and spent; no verdict is produced then.
+        failed subset of the assumptions.
         """
         assumptions = list(assumptions)
         if self.root_unsat:
@@ -273,12 +269,6 @@ class SatSolver:
             if confl is not None:
                 self.total_conflicts += 1
                 conflicts_here += 1
-                if (
-                    self.conflict_budget is not None
-                    and self.total_conflicts > self.conflict_budget
-                ):
-                    self._cancel_until(0)
-                    raise SolverBudgetExceeded(self.conflict_budget)
                 if self.decision_level() == 0:
                     self.root_unsat = True
                     return SolveResult(False, None, frozenset())

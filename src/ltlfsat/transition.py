@@ -37,45 +37,18 @@ class Edge:
     target: frozenset
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    edge: Edge | None
-    core: frozenset | None
-
-    @property
-    def found(self):
-        return self.edge is not None
-
-
 class TransitionExplorer:
     """On-demand successor generation for one formula's transition system."""
 
-    def __init__(self, f, *, phase_hint=False, check_cores=True, dump_dir=None):
+    def __init__(self, f, *, phase_hint=False):
         if not is_tnf(f):
             raise ValueError("transition systems are built over TNF formulas")
-        self.formula = f
-        self.encoder = Encoder(
-            phase_hint=phase_hint, check_cores=check_cores, dump_dir=dump_dir
-        )
+        self.encoder = Encoder(phase_hint=phase_hint)
         self.initial = state_of(f)
 
     def is_final(self, state):
         """Satisfiable iff the state can end the trace at this position."""
         return self.encoder.query(state, final=True)
-
-    def next_state(self, state, blocked=()):
-        """One successor avoiding every blocked core, or a core of the state
-        certifying that all successors of its superset-states are blocked."""
-        act = self.encoder.new_activation()
-        for core in blocked:
-            self.encoder.block_core(act, core)
-        out = self.encoder.query(state, acts=(act,))
-        if out.sat:
-            return StepOutcome(
-                Edge(out.assignment, successor_state(out.assignment.next_bodies)),
-                None,
-            )
-        return StepOutcome(None, out.core)
 
     def successors(self, state):
         """All successors of a state, one edge per distinct target."""
@@ -109,13 +82,10 @@ class TransitionSystem:
     def final_indices(self):
         return [i for i, out in self.final.items() if out.sat]
 
-    def successors_of(self, i):
-        return [(label, j) for src, label, j in self.edges if src == i]
 
-
-def _explore(f, *, state_limit, stop_on_final, phase_hint, timeout, check_cores=True):
+def _explore(f, *, state_limit, stop_on_final, timeout, phase_hint=False):
     deadline = None if timeout is None else time.monotonic() + timeout
-    explorer = TransitionExplorer(f, phase_hint=phase_hint, check_cores=check_cores)
+    explorer = TransitionExplorer(f, phase_hint=phase_hint)
     states = [explorer.initial]
     index = {explorer.initial: 0}
     edges = []
@@ -198,7 +168,7 @@ class NaiveResult:
     sat_calls: int
 
 
-def naive_check(f, *, state_limit=DEFAULT_STATE_LIMIT, phase_hint=False, timeout=None):
+def naive_check(f, *, state_limit=DEFAULT_STATE_LIMIT, timeout=None):
     """Complete satisfiability check by exhaustive state construction.
 
     Satisfiable iff some reachable state is final; the witness is assembled
@@ -209,7 +179,6 @@ def naive_check(f, *, state_limit=DEFAULT_STATE_LIMIT, phase_hint=False, timeout
         f,
         state_limit=state_limit,
         stop_on_final=True,
-        phase_hint=phase_hint,
         timeout=timeout,
     )
     if found is None:
@@ -245,6 +214,25 @@ def bfs_depth(ts):
                 dist[j] = dist[i] + 1
                 queue.append(j)
     return max(dist.values())
+
+
+# enumerating more traces than this is out of desk-scale budget; the
+# fallback bound below stays complete for witness search
+BRUTE_WORK_CAP = 1 << 24
+BRUTE_FALLBACK_MIN = 8
+BRUTE_FALLBACK_MAX = 9
+
+
+def brute_bound(f, ts):
+    """Complete witness-length bound: the state count plus one when the
+    enumeration fits the work cap, else a shortest-path bound (no witness is
+    longer than the system's reachability depth plus its final position)."""
+    bound = ts.state_count + 1
+    width = 1 << len(atoms(f))
+    if width ** bound <= BRUTE_WORK_CAP:
+        return bound
+    depth_bound = max(bfs_depth(ts) + 2, BRUTE_FALLBACK_MIN)
+    return min(depth_bound, BRUTE_FALLBACK_MAX)
 
 
 def export_dot(ts):

@@ -125,6 +125,32 @@ def test_step_query_single_unit():
     assert out.assignment.next_bodies == frozenset()
 
 
+def test_step_query_avoids_blocked_core():
+    enc = Encoder()
+    five = parse(
+        "((! Tail) U a) & ((! Tail) U ! a) & ((! Tail) U b) & ((! Tail) U ! b)"
+        " & ((! Tail) U c)"
+    )
+    u1 = frozenset({Until(Not(tail), a), Until(Not(tail), Not(a))})
+    act = enc.new_activation()
+    enc.block_core(act, u1)
+    out = enc.query(frozenset(conjuncts(five)), acts=(act,))
+    assert out.sat
+    assert not u1 <= out.assignment.next_bodies
+
+
+def test_step_query_core_when_everything_blocked():
+    enc = Encoder()
+    pair = frozenset({Until(Not(tail), a), Release(tail, Not(a))})
+    act = enc.new_activation()
+    enc.block_core(act, pair)
+    out = enc.query(pair | {Until(Not(tail), b)}, acts=(act,))
+    assert not out.sat
+    assert out.core == pair
+    again = enc.query(out.core, acts=(act,))
+    assert not again.sat
+
+
 def test_decode_splits_label_and_successor():
     enc = Encoder()
     f = Until(And(Not(tail), a), b)

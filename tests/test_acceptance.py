@@ -17,7 +17,7 @@ from ltlfsat.errors import ResourceAbort, StateLimitExceeded
 from ltlfsat.formula import TAIL, FiniteTrace, atoms, parse, to_nnf, to_tnf
 from ltlfsat.abstraction import xnf
 from ltlfsat.semantics import _eval_block, brute_force_sat, evaluate
-from ltlfsat.transition import bfs_depth, build_full_system, naive_check
+from ltlfsat.transition import brute_bound, build_full_system, naive_check
 
 # ---------------------------------------------------------------------------
 # shared knobs (all seeds fixed)
@@ -32,28 +32,11 @@ CONJUNCTION_SPEC = BenchSpec(
 EFFICIENCY_SPEC = BenchSpec(
     family="conjunction", count=100, seed=404, k_min=8, k_max=12, alphabet_size=4,
 )
-# enumerating more traces than this is out of desk-scale budget; the
-# fallback bound below stays complete for witness search
-BRUTE_WORK_CAP = 1 << 24
-BRUTE_FALLBACK_MIN = 8
-BRUTE_FALLBACK_MAX = 9
 
 
 def _report(number, description, ok):
     print(f"\nACCEPTANCE {number} {'PASS' if ok else 'FAIL'}: {description}")
     assert ok, f"criterion {number} failed: {description}"
-
-
-def _brute_bound(f, ts):
-    """Complete witness-length bound: the state count plus one when the
-    enumeration fits the work cap, else a shortest-path bound (no witness is
-    longer than the system's reachability depth plus its final position)."""
-    bound = ts.state_count + 1
-    width = 1 << len(atoms(f))
-    if width ** bound <= BRUTE_WORK_CAP:
-        return bound
-    depth_bound = max(bfs_depth(ts) + 2, BRUTE_FALLBACK_MIN)
-    return min(depth_bound, BRUTE_FALLBACK_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +52,7 @@ def oracle_rows():
         translated = to_tnf(to_nnf(f))
         naive = naive_check(translated)
         full = build_full_system(translated, exhaustive=True)
-        bound = _brute_bound(f, full)
+        bound = brute_bound(f, full)
         witness = brute_force_sat(f, bound)
         rows.append(
             {
@@ -282,7 +265,7 @@ def test_criterion_5_normal_form_properties(oracle_rows):
         f = to_nnf(gen_random(2, 4 + seed % 7, 0.5, seed + 50_000))
         translated = to_tnf(f)
         full = build_full_system(translated, exhaustive=True)
-        bound = _brute_bound(translated, full)
+        bound = brute_bound(translated, full)
         original_sat = brute_force_sat(f, bound) is not None
         translated_sat = brute_force_sat(translated, bound) is not None
         if original_sat != translated_sat:
@@ -455,7 +438,8 @@ def test_criterion_8_termination_discipline(oracle_rows, conjunction_rows, effic
     except StateLimitExceeded:
         aborted_cleanly += 1
     # aborted bench runs carry no verdict
-    from ltlfsat.bench import Limits, run_suite
+    from ltlfsat.bench import run_suite
+    from ltlfsat.errors import Limits
 
     report = run_suite(
         BenchSpec(family="random", count=12, seed=11, length_min=5, length_max=10),

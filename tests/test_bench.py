@@ -4,7 +4,6 @@ import pytest
 
 from ltlfsat.bench import (
     BenchSpec,
-    Limits,
     PATTERN_NAMES,
     compare_reports,
     gen_conjunction,
@@ -17,6 +16,7 @@ from ltlfsat.bench import (
     write_corpus,
 )
 from ltlfsat.cdlsc import check
+from ltlfsat.errors import Limits
 from ltlfsat.formula import atoms, conjuncts, parse, render
 
 

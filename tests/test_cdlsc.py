@@ -45,11 +45,11 @@ def test_five_conjunct_sat_with_length_two_witness():
 
 
 def test_unsat_example_detected_at_frames_zero_one():
-    verdict = check(UNSAT3, raw_tnf=True, keep_debug=True)
+    verdict = check(UNSAT3, raw_tnf=True)
     assert not verdict.sat
     assert verdict.invariant_level == 0
     assert verdict.stats.states_expanded == 1
-    frames = verdict.debug.frames
+    frames = verdict.frames
     assert len(frames) >= 2
     assert set(frames[0]) <= set(frames[1]) or set(frames[1]) <= set(frames[0])
 
@@ -245,11 +245,11 @@ def test_success_spine_escapes_the_frames():
     found = 0
     for seed in range(60):
         f = gen_random(2, 9, 0.6, seed + 31)
-        verdict = check(f, keep_debug=True)
-        if not verdict.sat or verdict.debug.spine is None:
+        verdict = check(f)
+        if not verdict.sat or verdict.spine is None:
             continue
-        spine = verdict.debug.spine
-        frames = verdict.debug.frames
+        spine = verdict.spine
+        frames = verdict.frames
         n = len(spine) - 1
         for i, state in enumerate(spine):
             level = n - i

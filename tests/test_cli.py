@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ltlfsat.cli import EXIT_ABORT, EXIT_OK, EXIT_SAT, EXIT_UNSAT, EXIT_USAGE, main
 
 
@@ -61,7 +63,28 @@ def test_verify_rejects_bad_trace(tmp_path, capsys):
 def test_check_naive_and_brute_oracles(capsys):
     assert main(["check", "--oracle", "naive", "--formula", "a U b"]) == EXIT_SAT
     capsys.readouterr()
-    assert main(["check", "--oracle", "brute", "--formula", "p & ! p"]) == EXIT_UNSAT
+    assert main(["check", "--oracle", "brute", "--formula", "p & ! p"]) == EXIT_ABORT
+
+
+def test_bounded_brute_miss_aborts_instead_of_unsat(capsys):
+    code = main([
+        "check", "--oracle", "brute", "--brute-bound", "3", "--formula", "X X X X a",
+    ])
+    captured = capsys.readouterr()
+    assert code == EXIT_ABORT
+    assert "unsat" not in captured.out
+    assert "aborted" in captured.err
+
+
+def test_bench_bounded_brute_does_not_disagree_with_cdlsc(capsys):
+    code = main([
+        "bench", "--family", "random", "--count", "30", "--seed", "1",
+        "--oracle", "brute", "--brute-bound", "2", "--cross-check", "cdlsc",
+    ])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert "DISAGREEMENT" not in captured.err
+    assert "abort:trace_bound" in captured.out
 
 
 def test_oracle_subcommand_agreement(capsys):
@@ -85,6 +108,17 @@ def test_parse_error_reports_position(capsys):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert "error:" in err
+
+
+@pytest.mark.parametrize("text", [
+    " & ".join(["a"] * 1999 + ["b"]),
+    "(" * 3000 + "a" + ")" * 3000,
+], ids=["flat-conjunction", "nested-parentheses"])
+def test_deep_input_is_an_input_error(tmp_path, capsys, text):
+    path = _write(tmp_path, "deep.ltlf", text + "\n")
+    code = main(["check", "-f", path])
+    assert code == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
 
 
 def test_resource_abort_exit_code(capsys):

@@ -1,9 +1,6 @@
 import itertools
 import random
 
-import pytest
-
-from ltlfsat.errors import SolverBudgetExceeded
 from ltlfsat.satengine import SatSolver
 
 
@@ -143,20 +140,6 @@ def test_assumption_pair_conflict():
     r = s.solve([x, -x])
     assert not r.sat
     assert r.failed == {x, -x}
-
-
-def test_conflict_budget_aborts_without_verdict():
-    rng = random.Random(1)
-    s = SatSolver(conflict_budget=1)
-    vs = [s.new_var() for _ in range(12)]
-    # a small pigeonhole-flavoured instance to force some conflicts
-    for i in range(0, 12, 3):
-        s.add_clause([vs[i], vs[i + 1], vs[i + 2]])
-    for _ in range(40):
-        s.add_clause([rng.choice([v, -v]) for v in rng.sample(vs, 3)])
-    with pytest.raises(SolverBudgetExceeded):
-        for _ in range(50):
-            s.solve([rng.choice([v, -v]) for v in rng.sample(vs, 6)])
 
 
 def test_phase_hint_controls_free_variables():

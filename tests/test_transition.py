@@ -10,7 +10,6 @@ from ltlfsat.formula import (
     And,
     Atom,
     Not,
-    Release,
     Until,
     atoms,
     parse,
@@ -86,24 +85,6 @@ def test_overview_self_loop_edge_exists():
     }
     wanted = frozenset({("a", True), ("b", False), (TAIL, False)})
     assert (wanted, state_of(OVERVIEW)) in edges
-
-
-def test_next_state_avoids_blocked_core():
-    exp = TransitionExplorer(FIVE)
-    u1 = frozenset({Until(Not(tail), a), Until(Not(tail), Not(a))})
-    out = exp.next_state(exp.initial, blocked=[u1])
-    assert out.found
-    assert not u1 <= out.edge.target
-
-
-def test_next_state_none_core_when_everything_blocked():
-    exp = TransitionExplorer(UNSAT3)
-    pair = frozenset({Until(Not(tail), a), Release(tail, Not(a))})
-    out = exp.next_state(exp.initial, blocked=[pair])
-    assert not out.found
-    assert out.core == pair
-    again = exp.next_state(out.core, blocked=[pair])
-    assert not again.found
 
 
 def test_empty_obligation_successor_is_true_state():
