@@ -7,6 +7,14 @@ within i steps. Successor search avoids the current frame; when it runs out
 of candidates, the step query's core seeds the next frame. Unsatisfiability
 is detected when the accumulated frames propositionally force the next one,
 so no state escapes them.
+
+That fixpoint test runs on one persistent solver per run (`Fixpoint`), fed
+by `ConflictSequence.add_core`: each frame's "some core holds" clause sits
+under an activation literal that is replaced whenever the frame gains a
+core, its "no core holds" clauses under a fixed one, and a level is only
+re-tested when its consequent frame has grown since it was last refuted.
+`inv_found` is the from-scratch reference it agrees with. `Stats` counts the
+fixpoint test's solves separately from the successor search's SAT calls.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from dataclasses import dataclass
 
 from .abstraction import Encoder
 from .errors import (
+    AtomLimitExceeded,
     FrameLimitExceeded,
     Limits,
     SatCallLimitExceeded,
@@ -24,7 +33,7 @@ from .errors import (
 )
 from .formula import TAIL, FiniteTrace, atoms, closure, is_tnf, to_nnf, to_tnf
 from .satengine import SatSolver
-from .semantics import brute_force_sat, evaluate
+from .semantics import MAX_BRUTE_ATOMS, brute_force_sat, evaluate
 from .transition import assemble_trace, naive_check, state_of, successor_state
 
 ENGINES = ("cdlsc", "naive", "brute")
@@ -36,6 +45,7 @@ class Stats:
     sat_calls: int = 0
     frames: int = 0
     elapsed: float = 0.0
+    fixpoint_solves: int = 0
 
 
 @dataclass
@@ -61,13 +71,15 @@ class WitnessError(AssertionError):
 
 class ConflictSequence:
     """Frames of member cores, each frame guarded by an activation literal
-    so newly added cores take effect on the very next solver call."""
+    so newly added cores take effect on the very next solver call. Every new
+    core is also fed to the run's fixpoint test."""
 
     def __init__(self, encoder):
         self._encoder = encoder
         self.frames = []
         self._sets = []
         self._acts = []
+        self.fixpoint = Fixpoint()
 
     def __len__(self):
         return len(self.frames)
@@ -90,6 +102,7 @@ class ConflictSequence:
         self.frames[i].append(core)
         self._sets[i].add(core)
         self._encoder.block_core(self._acts[i], core)
+        self.fixpoint.add_core(i, core)
         return True
 
     def covers(self, i, state):
@@ -98,6 +111,90 @@ class ConflictSequence:
 
     def snapshot(self):
         return tuple(tuple(frame) for frame in self.frames)
+
+
+class Fixpoint:
+    """Incremental `inv_found` over frames that only grow.
+
+    One solver holds a variable per member formula and a selector per
+    distinct core, with selector -> member for each member of the core.
+    Frame j contributes:
+
+    - "no core of frame j holds": a clause per core under the fixed
+      activation `_neg[j]`; these only accumulate;
+    - "some core of frame j holds": one clause over the selectors of all its
+      cores under the activation `_pos[j]`. When the frame gains a core the
+      old activation is retired by a root unit and the clause is re-added
+      under a fresh one.
+
+    Level i is tested under the assumptions `_pos[0..i]` and `_neg[i+1]`. A
+    new core in frames 0..i weakens the antecedent and one in frame i+1
+    strengthens the consequent, so a refuted level stays refuted until frame
+    i+1 gains a core. Frames never given a core are empty: an empty
+    antecedent frame rules out every level from it on, an empty consequent
+    skips its level, exactly as in `inv_found`.
+    """
+
+    def __init__(self):
+        self._solver = SatSolver()
+        self._members = {}
+        self._selectors = {}
+        self._cores = []      # per frame: selectors of its cores, in order
+        self._pos = []        # per frame: current "some core holds" activation
+        self._neg = []        # per frame: the "no core holds" activation
+        self._refuted = []    # per level: consequent size when last refuted, or -1
+        self.solves = 0
+
+    def _member(self, psi):
+        v = self._members.get(psi)
+        if v is None:
+            v = self._members[psi] = self._solver.new_var()
+        return v
+
+    def add_core(self, j, core):
+        """Record a core new to frame j."""
+        solver = self._solver
+        while len(self._cores) <= j:
+            self._cores.append([])
+            self._pos.append(None)
+            self._neg.append(solver.new_var())
+            self._refuted.append(-1)
+        members = [self._member(psi) for psi in sorted(core, key=lambda g: g.uid)]
+        d = self._selectors.get(core)
+        if d is None:
+            d = self._selectors[core] = solver.new_var()
+            for m in members:
+                solver.add_clause([-d, m])
+        solver.add_clause([-self._neg[j]] + [-m for m in members])
+        self._cores[j].append(d)
+        if self._pos[j] is not None:
+            solver.add_clause([-self._pos[j]])
+        self._pos[j] = solver.new_var()
+        solver.add_clause([-self._pos[j]] + self._cores[j])
+
+    def level(self, before_solve=None):
+        """Smallest level at which the frames are a fixpoint, or None; the
+        same answer as `inv_found` on the frames fed so far.
+
+        `before_solve` is called before each solver call, so a deadline can
+        interrupt the test.
+        """
+        assumptions = []
+        for i in range(len(self._cores) - 1):
+            if self._pos[i] is None:
+                return None
+            assumptions.append(self._pos[i])
+            size = len(self._cores[i + 1])
+            if size == 0 or self._refuted[i] == size:
+                continue
+            if before_solve is not None:
+                before_solve()
+            self.solves += 1
+            if self._solver.solve(assumptions + [self._neg[i + 1]]).sat:
+                self._refuted[i] = size
+            else:
+                return i
+        return None
 
 
 def inv_found(frames):
@@ -217,7 +314,7 @@ class _Run:
                 return self._sat_verdict(labels, final_assignment, start)
             if self.iteration_hook is not None:
                 self.iteration_hook(frame_level, self.sequence.snapshot())
-            level = inv_found(self.sequence.frames)
+            level = self.sequence.fixpoint.level(self._tick)
             if level is not None:
                 return self._unsat_verdict(level, start)
             frame_level += 1
@@ -263,6 +360,7 @@ class _Run:
             sat_calls=self.encoder.sat_calls,
             frames=len(self.sequence),
             elapsed=time.monotonic() - start,
+            fixpoint_solves=self.sequence.fixpoint.solves,
         )
 
     def _sat_verdict(self, labels, final_assignment, start):
@@ -303,8 +401,9 @@ def solve(f, engine, *, raw_tnf=False, limits=Limits(), dump_dir=None):
 
     Each engine reads the limits it has. "brute" enumerates traces up to
     limits.brute_bound only, so when it finds no witness it raises
-    TraceBoundExceeded: a bounded miss is an abort, never "unsat". A clause
-    dump directory applies to "cdlsc" only.
+    TraceBoundExceeded: a bounded miss is an abort, never "unsat". On more
+    than MAX_BRUTE_ATOMS atoms it raises AtomLimitExceeded without
+    enumerating. A clause dump directory applies to "cdlsc" only.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose one of {ENGINES}")
@@ -320,6 +419,9 @@ def solve(f, engine, *, raw_tnf=False, limits=Limits(), dump_dir=None):
         witness = result.witness_with_tail if raw_tnf else result.witness
         stats = Stats(result.states_expanded, result.sat_calls, 0, time.monotonic() - start)
         return Verdict(result.sat, witness, None, stats)
+    count = len(atoms(f))
+    if count > MAX_BRUTE_ATOMS:
+        raise AtomLimitExceeded(count, MAX_BRUTE_ATOMS)
     start = time.monotonic()
     witness = brute_force_sat(f, limits.brute_bound, timeout=limits.timeout)
     if witness is None:

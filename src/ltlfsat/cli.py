@@ -13,7 +13,7 @@ from . import bench as benchmod
 from .cdlsc import ENGINES, normalise, solve
 from .errors import Limits, ResourceAbort
 from .formula import FiniteTrace, ParseError, atoms, parse
-from .semantics import brute_force_sat, evaluate
+from .semantics import MAX_BRUTE_ATOMS, brute_force_sat, evaluate
 from .transition import brute_bound, build_full_system, export_dot
 
 EXIT_SAT = 10
@@ -128,7 +128,8 @@ def _spec_from_args(args):
 def _print_stats(stats):
     print(
         f"stats: states_expanded={stats.states_expanded} sat_calls={stats.sat_calls}"
-        f" frames={stats.frames} elapsed={stats.elapsed:.3f}s"
+        f" frames={stats.frames} fixpoint_solves={stats.fixpoint_solves}"
+        f" elapsed={stats.elapsed:.3f}s"
     )
 
 
@@ -163,7 +164,8 @@ def _cmd_oracle(args):
         engine: solve(original, engine, raw_tnf=args.raw_tnf, limits=limits).sat
         for engine in ("cdlsc", "naive")
     }
-    if len(atoms(original)) <= 4:
+    count = len(atoms(original))
+    if count <= MAX_BRUTE_ATOMS:
         # brute force is complete only up to the system's witness-length bound
         full = build_full_system(normalise(original, args.raw_tnf), exhaustive=True,
                                  timeout=args.timeout)
@@ -172,6 +174,8 @@ def _cmd_oracle(args):
         verdicts["brute"] = witness is not None
     for name, sat in verdicts.items():
         print(f"{name}: {'sat' if sat else 'unsat'}")
+    if count > MAX_BRUTE_ATOMS:
+        print(f"brute: skipped ({count} atoms > {MAX_BRUTE_ATOMS})")
     if len(set(verdicts.values())) > 1:
         print("DISAGREEMENT between engines", file=sys.stderr)
         return EXIT_USAGE

@@ -57,3 +57,13 @@ class TraceBoundExceeded(ResourceAbort):
     def __init__(self, bound):
         super().__init__("trace_bound", f"no witness up to trace length {bound}")
         self.bound = bound
+
+
+class AtomLimitExceeded(ResourceAbort):
+    """The formula has more atoms than brute-force enumeration supports."""
+
+    def __init__(self, count, limit):
+        super().__init__("atom_limit",
+                         f"brute force supports at most {limit} atoms, got {count}")
+        self.count = count
+        self.limit = limit

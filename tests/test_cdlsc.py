@@ -1,11 +1,19 @@
+import time
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltlfsat.bench import gen_random
-from ltlfsat.cdlsc import WitnessError, check, inv_found, reconstruct_witness
+from ltlfsat.cdlsc import (
+    ConflictSequence,
+    WitnessError,
+    check,
+    inv_found,
+    reconstruct_witness,
+)
 from ltlfsat.errors import FrameLimitExceeded, SatCallLimitExceeded, TimeoutExceeded
-from ltlfsat.abstraction import Assignment
+from ltlfsat.abstraction import Assignment, Encoder
 from ltlfsat.formula import (
     TAIL,
     Atom,
@@ -47,7 +55,7 @@ def test_five_conjunct_sat_with_length_two_witness():
 def test_unsat_example_detected_at_frames_zero_one():
     verdict = check(UNSAT3, raw_tnf=True)
     assert not verdict.sat
-    assert verdict.invariant_level == 0
+    assert verdict.invariant_level == 0 == inv_found(verdict.frames)
     assert verdict.stats.states_expanded == 1
     frames = verdict.frames
     assert len(frames) >= 2
@@ -69,6 +77,7 @@ def test_raw_tnf_requires_tnf_shape():
 def test_propositional_contradiction_unsat():
     verdict = check(parse("p & ! p"))
     assert not verdict.sat
+    assert verdict.invariant_level == inv_found(verdict.frames)
 
 
 def test_witness_never_mentions_tail_after_translation():
@@ -126,6 +135,26 @@ def test_inv_found_matches_truth_table():
         assert got == expected, frames
 
 
+_MEMBERS = [Atom(f"m{i}") for i in range(5)]
+_CORES = st.frozensets(st.sampled_from(_MEMBERS), min_size=1, max_size=3)
+_STEPS = st.lists(
+    st.one_of(st.none(), st.tuples(st.integers(0, 4), _CORES)), min_size=1, max_size=40
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_STEPS)
+def test_incremental_fixpoint_matches_inv_found(steps):
+    """Random grow-only frames, queried at random points: the persistent
+    fixpoint test answers exactly as the from-scratch reference."""
+    sequence = ConflictSequence(Encoder())
+    for step in steps + [None]:
+        if step is None:
+            assert sequence.fixpoint.level() == inv_found(sequence.frames), sequence.frames
+        else:
+            sequence.add_core(*step)
+
+
 def test_reconstruct_witness_length_one():
     final = Assignment(frozenset({(TAIL, True), ("b", True), ("a", False)}), frozenset())
     trace = reconstruct_witness([], final, parse("a U b"))
@@ -160,12 +189,36 @@ def test_timeout_aborts_without_verdict():
         check(FIVE, raw_tnf=True, timeout=0.0)
 
 
+def test_timeout_covers_the_fixpoint_test():
+    # the fixpoint is reached on the first iteration, right after the hook
+    with pytest.raises(TimeoutExceeded):
+        check(parse("p & ! p"), timeout=0.05,
+              iteration_hook=lambda level, frames: time.sleep(0.1))
+
+
+def _eventualities(n):
+    names = [f"p{i}" for i in range(1, n + 1)]
+    pairs = [f"!({p} & {q})" for i, p in enumerate(names) for q in names[i + 1:]]
+    return parse(" & ".join([f"F {p}" for p in names] + ["G (" + " & ".join(pairs) + ")",
+                             "!(" + "X " * (n - 1) + "true)"]))
+
+
+def test_fixpoint_solves_are_counted():
+    assert check(parse("a U b")).stats.fixpoint_solves == 0
+    verdict = check(_eventualities(4))
+    assert not verdict.sat
+    assert verdict.stats.fixpoint_solves > 0
+    assert verdict.invariant_level == inv_found(verdict.frames)
+
+
 def test_agreement_with_naive_on_random_sample():
     for seed in range(60):
         f = gen_random(3, 10, 0.5, seed + 1000)
         verdict = check(f)
         naive = naive_check(to_tnf(to_nnf(f)))
         assert verdict.sat == naive.sat, seed
+        if not verdict.sat:
+            assert verdict.invariant_level == inv_found(verdict.frames), seed
 
 
 def _covered(frame, state):
@@ -215,7 +268,9 @@ def test_conflict_sequence_invariants_small_sample():
         f = gen_random(2, 8, 0.6, seed + 77)
         tnf = to_tnf(to_nnf(f))
         snapshots = []
-        check(f, iteration_hook=lambda level, frames: snapshots.append(frames))
+        verdict = check(f, iteration_hook=lambda level, frames: snapshots.append(frames))
+        if not verdict.sat:
+            assert verdict.invariant_level == inv_found(verdict.frames), seed
         if not snapshots:
             continue
         ts = build_full_system(tnf, exhaustive=True)
@@ -232,7 +287,9 @@ def test_frames_only_ever_grow():
     for seed in range(20):
         f = gen_random(2, 8, 0.7, seed + 500)
         local = []
-        check(f, iteration_hook=lambda level, frames: local.append(frames))
+        verdict = check(f, iteration_hook=lambda level, frames: local.append(frames))
+        if not verdict.sat:
+            assert verdict.invariant_level == inv_found(verdict.frames), seed
         for earlier, later in zip(local, local[1:]):
             assert len(earlier) <= len(later)
             for i, frame in enumerate(earlier):

@@ -87,6 +87,31 @@ def test_bench_bounded_brute_does_not_disagree_with_cdlsc(capsys):
     assert "abort:trace_bound" in captured.out
 
 
+def test_brute_over_atom_limit_aborts(capsys):
+    code = main([
+        "bench", "--family", "conjunction", "--count", "3", "--k-min", "8",
+        "--k-max", "12", "--oracle", "brute",
+    ])
+    rows = capsys.readouterr().out.splitlines()[1:4]
+    assert code == EXIT_OK
+    assert [row.split(",")[2] for row in rows] == ["abort:atom_limit"] * 3
+    code = main(["check", "--oracle", "brute", "--formula", "a & b & c & d & e"])
+    assert code == EXIT_ABORT
+    assert "at most 4 atoms" in capsys.readouterr().err
+
+
+def test_oracle_reports_skipped_brute(capsys):
+    code = main(["oracle", "--formula", "F a & F b & F c & F d & F e"])
+    out = capsys.readouterr().out
+    assert code == EXIT_SAT
+    assert "brute: skipped (5 atoms > 4)" in out
+
+
+def test_check_stats_line_counts_fixpoint_solves(capsys):
+    assert main(["check", "--formula", "p & ! p"]) == EXIT_UNSAT
+    assert "fixpoint_solves=1" in capsys.readouterr().out
+
+
 def test_oracle_subcommand_agreement(capsys):
     code = main(["oracle", "--formula", "(a U b) & F c"])
     out = capsys.readouterr().out
