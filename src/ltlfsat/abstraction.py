@@ -281,7 +281,8 @@ class Encoder:
         """One query per file, standard competition clause-list format."""
         self._dump_count += 1
         path = os.path.join(self._dump_dir, f"query{self._dump_count:05d}.cnf")
-        clauses = list(self.solver.clauses)
+        # root facts as units: clauses they satisfy may have been dropped
+        clauses = self.solver.clauses + [(lit,) for lit in self.solver.trail]
         lines = [
             f"c query {self._dump_count}; assumptions appended as unit clauses",
             f"p cnf {self.solver.nvars} {len(clauses) + len(assumptions)}",
@@ -297,7 +298,8 @@ def enumerate_assignments(target, *, encoder=None):
 
     Each found assignment is blocked by its full projection before the next
     solve, so the enumeration is exhaustive and free of duplicates; the
-    order is engine-dependent.
+    order is engine-dependent. The blocking clauses are released once the
+    enumeration is exhausted.
     """
     enc = encoder if encoder is not None else Encoder()
     state = target if isinstance(target, frozenset) else frozenset(conjuncts(target))
@@ -306,6 +308,7 @@ def enumerate_assignments(target, *, encoder=None):
     while True:
         out = enc.query(state, acts=(act,))
         if not out.sat:
+            enc.solver.release(act)
             return
         yield out.assignment
         enc.block_assignment(act, out.assignment, lit_atoms, next_atoms)

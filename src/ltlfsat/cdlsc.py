@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from .abstraction import Encoder
 from .errors import (
     AtomLimitExceeded,
+    Deadline,
     FrameLimitExceeded,
     Limits,
     SatCallLimitExceeded,
-    TimeoutExceeded,
     TraceBoundExceeded,
 )
 from .formula import TAIL, FiniteTrace, atoms, closure, is_tnf, to_nnf, to_tnf
@@ -46,6 +46,7 @@ class Stats:
     frames: int = 0
     elapsed: float = 0.0
     fixpoint_solves: int = 0
+    live_clauses: int = 0  # search solver's clause database size at the end
 
 
 @dataclass
@@ -282,16 +283,14 @@ class _Run:
             max_frames = 1 << len(closure(self.tnf))
         self.max_frames = max_frames
         self.max_sat_calls = max_sat_calls
-        self.deadline = None if timeout is None else time.monotonic() + timeout
-        self.timeout = timeout
+        self.deadline = Deadline(timeout)
         self.iteration_hook = iteration_hook
         self.seen = {self.s0}
         self.sequence = ConflictSequence(self.encoder)
         self.spine = None
 
     def _tick(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise TimeoutExceeded(self.timeout)
+        self.deadline.check()
         if self.max_sat_calls is not None and self.encoder.sat_calls >= self.max_sat_calls:
             raise SatCallLimitExceeded(self.max_sat_calls)
 
@@ -361,6 +360,7 @@ class _Run:
             frames=len(self.sequence),
             elapsed=time.monotonic() - start,
             fixpoint_solves=self.sequence.fixpoint.solves,
+            live_clauses=len(self.encoder.solver.clauses),
         )
 
     def _sat_verdict(self, labels, final_assignment, start):
@@ -417,7 +417,8 @@ def solve(f, engine, *, raw_tnf=False, limits=Limits(), dump_dir=None):
         start = time.monotonic()
         result = naive_check(tnf, state_limit=limits.state_limit, timeout=limits.timeout)
         witness = result.witness_with_tail if raw_tnf else result.witness
-        stats = Stats(result.states_expanded, result.sat_calls, 0, time.monotonic() - start)
+        stats = Stats(result.states_expanded, result.sat_calls, 0, time.monotonic() - start,
+                      live_clauses=result.live_clauses)
         return Verdict(result.sat, witness, None, stats)
     count = len(atoms(f))
     if count > MAX_BRUTE_ATOMS:

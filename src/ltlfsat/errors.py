@@ -6,6 +6,7 @@ loudly and never reports sat/unsat.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 
@@ -37,6 +38,19 @@ class TimeoutExceeded(ResourceAbort):
     def __init__(self, seconds):
         super().__init__("timeout", f"timeout of {seconds}s exceeded")
         self.seconds = seconds
+
+
+class Deadline:
+    """A timeout turned into a point in monotonic time; None never fires."""
+
+    def __init__(self, timeout):
+        self.timeout = timeout
+        self._at = None if timeout is None else time.monotonic() + timeout
+
+    def check(self):
+        """Raise TimeoutExceeded once the deadline has passed."""
+        if self._at is not None and time.monotonic() > self._at:
+            raise TimeoutExceeded(self.timeout)
 
 
 class FrameLimitExceeded(ResourceAbort):

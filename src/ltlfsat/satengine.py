@@ -3,9 +3,12 @@ extraction.
 
 This is the only module that touches propositional solving. Clauses persist
 across solve calls; retractable contexts are built on top by callers using
-activation literals plus assumptions. The failed-assumption set returned on
-unsatisfiable queries is itself unsatisfiable together with the clause
-database when asserted as units.
+activation literals plus assumptions. A context that is no longer needed is
+retired with `release(act)`: its activation becomes false at the root and the
+next solve drops every clause that root facts satisfy, the context's own and
+learned ones alike, so spent contexts stop costing propagation time. The
+failed-assumption set returned on unsatisfiable queries is itself
+unsatisfiable together with the clause database when asserted as units.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ class SatSolver:
         self.phase_hint = bool(phase_hint)
         self.watches = {}
         self.clauses = []
+        self._attached = []  # every watched clause, learned ones included
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
@@ -42,6 +46,8 @@ class SatSolver:
         self.var_inc = 1.0
         self.total_conflicts = 0
         self._heap = []
+        self._simplify_pending = False
+        self._simplified = 0  # root trail length at the last simplification
 
     # ------------------------------------------------------------------
     # variables and clauses
@@ -63,20 +69,21 @@ class SatSolver:
         return v if lit > 0 else not v
 
     def add_clause(self, lits):
-        """Add a clause over existing variables; duplicates are harmless."""
+        """Add a clause over existing variables; duplicates are harmless.
+
+        Tautologies and clauses a root fact already satisfies are not kept.
+        """
         assert not self.trail_lim, "clauses may only be added between solves"
         lits = list(dict.fromkeys(lits))
         for lit in lits:
             if abs(lit) > self.nvars or lit == 0:
                 raise ValueError(f"unknown literal {lit}")
+        if any(-l in lits or self.value(l) is True for l in lits):
+            return
         self.clauses.append(tuple(lits))
         if self.root_unsat:
             return
-        if any(-l in lits for l in lits):
-            return
         simp = [l for l in lits if self.value(l) is not False]
-        if any(self.value(l) is True for l in simp):
-            return
         if not simp:
             self.root_unsat = True
             return
@@ -86,9 +93,44 @@ class SatSolver:
             return
         self._attach(simp)
 
+    def release(self, act):
+        """Retire an activation literal for good: assert -act at the root.
+
+        Clauses the root facts satisfy, the context's blocking clauses among
+        them, are dropped at the start of the next solve. `act` must not be
+        assumed again.
+        """
+        self.add_clause([-act])
+        self._simplify_pending = True
+
+    def _simplify(self):
+        """Drop every clause holding a root fact found since the last
+        simplification, from the watch lists and from `clauses`; called at
+        the root with propagation complete."""
+        self._simplify_pending = False
+        root = set(self.trail[self._simplified:])
+        self._simplified = len(self.trail)
+        self.clauses = [c for c in self.clauses if root.isdisjoint(c)]
+        kept = []
+        touched = set()
+        for c in self._attached:
+            if root.isdisjoint(c):
+                kept.append(c)
+            else:
+                touched.update(c[:2])
+        self._attached = kept
+        # a watched clause sits in the lists of its first two literals
+        for lit in touched:
+            ws = [c for c in self.watches[lit] if root.isdisjoint(c)]
+            if ws:
+                self.watches[lit] = ws
+            else:
+                del self.watches[lit]
+
     def _attach(self, clause):
         self.watches.setdefault(clause[0], []).append(clause)
         self.watches.setdefault(clause[1], []).append(clause)
+        self._attached.append(clause)
 
     # ------------------------------------------------------------------
     # trail
@@ -262,6 +304,8 @@ class SatSolver:
         if self._propagate() is not None:
             self.root_unsat = True
             return SolveResult(False, None, frozenset())
+        if self._simplify_pending:
+            self._simplify()
         conflicts_here = 0
         restart_limit = 100
         while True:

@@ -8,11 +8,9 @@ valuation order, so its witnesses are deterministic and shortest.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from .errors import TimeoutExceeded
+from .errors import Deadline
 from .formula import (
     And,
     Atom,
@@ -186,7 +184,7 @@ def brute_force_sat(f, max_len, *, timeout=None):
         raise ValueError("max_len must be at least 1")
     alphabet = frozenset(names)
     m = len(names)
-    deadline = None if timeout is None else time.monotonic() + timeout
+    deadline = Deadline(timeout)
     for length in range(1, max_len + 1):
         if m * length > _MAX_INDEX_BITS:
             raise ValueError(
@@ -195,8 +193,7 @@ def brute_force_sat(f, max_len, *, timeout=None):
         total = (1 << m) ** length
         start = 0
         while start < total:
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutExceeded(timeout)
+            deadline.check()
             count = min(_CHUNK, total - start)
             sat = _eval_block(f, names, length, start, count)
             hits = np.flatnonzero(sat)

@@ -9,12 +9,11 @@ is final by construction.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
 from .abstraction import Assignment, Encoder
-from .errors import StateLimitExceeded, TimeoutExceeded
+from .errors import Deadline, StateLimitExceeded, TimeoutExceeded
 from .formula import TAIL, FiniteTrace, TRUE, atoms, conjuncts, is_tnf, render
 
 DEFAULT_STATE_LIMIT = 1 << 20
@@ -51,12 +50,18 @@ class TransitionExplorer:
         return self.encoder.query(state, final=True)
 
     def successors(self, state):
-        """All successors of a state, one edge per distinct target."""
+        """All successors of a state, one edge per distinct target.
+
+        The enumeration's blocking clauses are released once it is
+        exhausted; a generator abandoned early keeps them, which only
+        matters if the explorer is used further.
+        """
         act = self.encoder.new_activation()
         _, next_atoms = self.encoder.relevant_atoms(state)
         while True:
             out = self.encoder.query(state, acts=(act,))
             if not out.sat:
+                self.encoder.solver.release(act)
                 return
             yield Edge(out.assignment, successor_state(out.assignment.next_bodies))
             self.encoder.block_next_projection(
@@ -74,6 +79,7 @@ class TransitionSystem:
     exhaustive: bool
     sat_calls: int = 0
     preds: dict = field(default_factory=dict)
+    live_clauses: int = 0  # the explorer's clause database size at the end
 
     @property
     def state_count(self):
@@ -84,49 +90,48 @@ class TransitionSystem:
 
 
 def _explore(f, *, state_limit, stop_on_final, timeout, phase_hint=False):
-    deadline = None if timeout is None else time.monotonic() + timeout
+    deadline = Deadline(timeout)
     explorer = TransitionExplorer(f, phase_hint=phase_hint)
     states = [explorer.initial]
     index = {explorer.initial: 0}
     edges = []
     final = {0: explorer.is_final(explorer.initial)}
     preds = {}
+
+    def system(exhaustive):
+        return TransitionSystem(f, states, index, edges, final, exhaustive,
+                                explorer.encoder.sat_calls, preds,
+                                len(explorer.encoder.solver.clauses))
+
     found = 0 if final[0].sat else None
     if found is not None and stop_on_final:
-        ts = TransitionSystem(f, states, index, edges, final, False,
-                              explorer.encoder.sat_calls, preds)
-        return ts, found
+        return system(False), found
     queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for edge in explorer.successors(states[i]):
-            if deadline is not None and time.monotonic() > deadline:
-                abort = TimeoutExceeded(timeout)
-                abort.states_expanded = len(states)
-                raise abort
-            j = index.get(edge.target)
-            fresh = j is None
-            if fresh:
-                if len(states) >= state_limit:
-                    abort = StateLimitExceeded(state_limit)
-                    abort.states_expanded = len(states)
-                    raise abort
-                j = len(states)
-                states.append(edge.target)
-                index[edge.target] = j
-                preds[j] = (i, edge.label)
-                final[j] = explorer.is_final(edge.target)
-                queue.append(j)
-            edges.append((i, edge.label, j))
-            if fresh and final[j].sat and found is None:
-                found = j
-                if stop_on_final:
-                    ts = TransitionSystem(f, states, index, edges, final, False,
-                                          explorer.encoder.sat_calls, preds)
-                    return ts, found
-    ts = TransitionSystem(f, states, index, edges, final, True,
-                          explorer.encoder.sat_calls, preds)
-    return ts, found
+    try:
+        while queue:
+            i = queue.popleft()
+            for edge in explorer.successors(states[i]):
+                deadline.check()
+                j = index.get(edge.target)
+                fresh = j is None
+                if fresh:
+                    if len(states) >= state_limit:
+                        raise StateLimitExceeded(state_limit)
+                    j = len(states)
+                    states.append(edge.target)
+                    index[edge.target] = j
+                    preds[j] = (i, edge.label)
+                    final[j] = explorer.is_final(edge.target)
+                    queue.append(j)
+                edges.append((i, edge.label, j))
+                if fresh and final[j].sat and found is None:
+                    found = j
+                    if stop_on_final:
+                        return system(False), found
+    except (TimeoutExceeded, StateLimitExceeded) as abort:
+        abort.states_expanded = len(states)
+        raise
+    return system(True), found
 
 
 def build_full_system(f, *, state_limit=DEFAULT_STATE_LIMIT, exhaustive=False,
@@ -166,6 +171,7 @@ class NaiveResult:
     witness_with_tail: FiniteTrace | None
     states_expanded: int
     sat_calls: int
+    live_clauses: int
 
 
 def naive_check(f, *, state_limit=DEFAULT_STATE_LIMIT, timeout=None):
@@ -182,7 +188,8 @@ def naive_check(f, *, state_limit=DEFAULT_STATE_LIMIT, timeout=None):
         timeout=timeout,
     )
     if found is None:
-        return NaiveResult(False, None, None, ts.state_count, ts.sat_calls)
+        return NaiveResult(False, None, None, ts.state_count, ts.sat_calls,
+                           ts.live_clauses)
     labels = []
     i = found
     while i != 0:
@@ -197,6 +204,7 @@ def naive_check(f, *, state_limit=DEFAULT_STATE_LIMIT, timeout=None):
         with_tail,
         ts.state_count,
         ts.sat_calls,
+        ts.live_clauses,
     )
 
 

@@ -112,6 +112,14 @@ def test_check_stats_line_counts_fixpoint_solves(capsys):
     assert "fixpoint_solves=1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("engine", ["cdlsc", "naive"])
+def test_check_stats_line_reports_live_clauses(engine, capsys):
+    assert main(["check", "--oracle", engine, "--formula", "p & ! p"]) == EXIT_UNSAT
+    out = capsys.readouterr().out
+    live = int(out.split("live_clauses=")[1].split()[0])
+    assert live > 0
+
+
 def test_oracle_subcommand_agreement(capsys):
     code = main(["oracle", "--formula", "(a U b) & F c"])
     out = capsys.readouterr().out

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from ltlfsat.satengine import SatSolver
 
 
@@ -156,3 +158,62 @@ def test_phase_hint_controls_free_variables():
     s2.add_clause([a, b])
     r2 = s2.solve()
     assert r2.model[a] is True and r2.model[b] is True
+
+
+def _reference(nvars, clauses):
+    """A fresh solver holding exactly the given clauses."""
+    ref, _ = _fresh(nvars)
+    for clause in clauses:
+        ref.add_clause(clause)
+    return ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_release_matches_a_solver_without_the_released_groups(data):
+    """Clause groups under their own activations, released at random points,
+    keep one solver equivalent to a fresh one holding only the live groups."""
+    nvars = data.draw(st.integers(2, 6), label="nvars")
+    s, vs = _fresh(nvars)
+    lit = st.sampled_from(vs).flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.lists(lit, min_size=1, max_size=3)
+    base = data.draw(st.lists(clause, max_size=3), label="base")
+    for c in base:
+        s.add_clause(c)
+    groups = {}  # live activation -> its clauses, activation included
+    released = []
+    for _ in range(data.draw(st.integers(1, 8), label="steps")):
+        step = data.draw(st.sampled_from(["group", "release", "solve"]), label="step")
+        if step == "group":
+            act = s.new_var()
+            groups[act] = [[-act] + c for c in
+                           data.draw(st.lists(clause, min_size=1, max_size=6), label="group")]
+            for c in groups[act]:
+                s.add_clause(c)
+        elif step == "release" and groups:
+            act = data.draw(st.sampled_from(sorted(groups)), label="released")
+            del groups[act]
+            released.append(act)
+            s.release(act)
+        acts = [a for a in sorted(groups) if data.draw(st.booleans(), label="assume")]
+        assumptions = acts + data.draw(st.lists(lit, max_size=3, unique_by=abs), label="lits")
+        live = base + [c for cs in groups.values() for c in cs]
+        got = s.solve(assumptions)
+        ref = _reference(s.nvars, live)
+        assert got.sat == ref.solve(assumptions).sat
+        if got.sat:
+            def val(l):
+                v = got.model[abs(l)]
+                return v if l > 0 else not v
+
+            assert all(val(a) for a in assumptions)
+            assert all(any(val(l) for l in c) for c in live)
+        else:
+            assert got.failed <= set(assumptions)
+            ref = _reference(s.nvars, live + [[l] for l in got.failed])
+            assert not ref.solve().sat
+        if s.root_unsat:
+            continue  # a contradictory database is never searched again
+        gone = {-act for act in released}
+        assert all(gone.isdisjoint(c) for c in s.clauses)
+        assert all(gone.isdisjoint(c) for ws in s.watches.values() for c in ws)
