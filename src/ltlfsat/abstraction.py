@@ -121,8 +121,8 @@ class Encoder:
     run in parallel.
     """
 
-    def __init__(self, *, phase_hint=False, dump_dir=None):
-        self.solver = SatSolver(phase_hint=phase_hint)
+    def __init__(self, *, dump_dir=None):
+        self.solver = SatSolver()
         self.sat_calls = 0
         self._atom_vars = {}
         self._def_vars = {}

@@ -8,13 +8,10 @@ of candidates, the step query's core seeds the next frame. Unsatisfiability
 is detected when the accumulated frames propositionally force the next one,
 so no state escapes them.
 
-That fixpoint test runs on one persistent solver per run (`Fixpoint`), fed
-by `ConflictSequence.add_core`: each frame's "some core holds" clause sits
-under an activation literal that is replaced whenever the frame gains a
-core, its "no core holds" clauses under a fixed one, and a level is only
-re-tested when its consequent frame has grown since it was last refuted.
-`inv_found` is the from-scratch reference it agrees with. `Stats` counts the
-fixpoint test's solves separately from the successor search's SAT calls.
+`ConflictSequence` holds the frames and runs that fixpoint test
+incrementally, on one persistent solver per run; `inv_found` is the
+from-scratch reference it agrees with. `Stats` counts the fixpoint test's
+solves separately from the successor search's SAT calls.
 """
 
 from __future__ import annotations
@@ -71,55 +68,17 @@ class WitnessError(AssertionError):
 
 
 class ConflictSequence:
-    """Frames of member cores, each frame guarded by an activation literal
-    so newly added cores take effect on the very next solver call. Every new
-    core is also fed to the run's fixpoint test."""
+    """Frames of member cores plus the run's incremental fixpoint test.
 
-    def __init__(self, encoder):
-        self._encoder = encoder
-        self.frames = []
-        self._sets = []
-        self._acts = []
-        self.fixpoint = Fixpoint()
+    Each frame is an insertion-ordered dict from its cores to their
+    fixpoint selectors. In the search encoder a frame's cores block
+    successors under the frame's activation literal, so a new core takes
+    effect on the very next query.
 
-    def __len__(self):
-        return len(self.frames)
-
-    def ensure(self, i):
-        while len(self.frames) <= i:
-            self.frames.append([])
-            self._sets.append(set())
-            self._acts.append(self._encoder.new_activation())
-
-    def act(self, i):
-        self.ensure(i)
-        return self._acts[i]
-
-    def add_core(self, i, core):
-        assert core, "frames only hold nonempty cores"
-        self.ensure(i)
-        if core in self._sets[i]:
-            return False
-        self.frames[i].append(core)
-        self._sets[i].add(core)
-        self._encoder.block_core(self._acts[i], core)
-        self.fixpoint.add_core(i, core)
-        return True
-
-    def covers(self, i, state):
-        """Whether the frame contains the state: some core is a subset."""
-        return any(core <= state for core in self.frames[i])
-
-    def snapshot(self):
-        return tuple(tuple(frame) for frame in self.frames)
-
-
-class Fixpoint:
-    """Incremental `inv_found` over frames that only grow.
-
-    One solver holds a variable per member formula and a selector per
-    distinct core, with selector -> member for each member of the core.
-    Frame j contributes:
+    The fixpoint test (`fixpoint_level`, the incremental `inv_found`) runs
+    on a solver of its own, with a variable per member formula and a
+    selector per distinct core, selector -> member for each member of the
+    core. Frame j contributes:
 
     - "no core of frame j holds": a clause per core under the fixed
       activation `_neg[j]`; these only accumulate;
@@ -131,20 +90,36 @@ class Fixpoint:
     Level i is tested under the assumptions `_pos[0..i]` and `_neg[i+1]`. A
     new core in frames 0..i weakens the antecedent and one in frame i+1
     strengthens the consequent, so a refuted level stays refuted until frame
-    i+1 gains a core. Frames never given a core are empty: an empty
-    antecedent frame rules out every level from it on, an empty consequent
-    skips its level, exactly as in `inv_found`.
+    i+1 gains a core. An empty antecedent frame rules out every level from
+    it on and an empty consequent skips its level, exactly as in
+    `inv_found`.
     """
 
-    def __init__(self):
+    def __init__(self, encoder):
+        self._encoder = encoder
+        self.frames = []
+        self._acts = []       # per frame: search-side activation
         self._solver = SatSolver()
         self._members = {}
         self._selectors = {}
-        self._cores = []      # per frame: selectors of its cores, in order
         self._pos = []        # per frame: current "some core holds" activation
-        self._neg = []        # per frame: the "no core holds" activation
+        self._neg = []        # per frame up to the last given a core: "no core holds" activation
         self._refuted = []    # per level: consequent size when last refuted, or -1
-        self.solves = 0
+        self.fixpoint_solves = 0
+
+    def __len__(self):
+        return len(self.frames)
+
+    def ensure(self, i):
+        while len(self.frames) <= i:
+            self.frames.append({})
+            self._acts.append(self._encoder.new_activation())
+            self._pos.append(None)
+            self._refuted.append(-1)
+
+    def act(self, i):
+        self.ensure(i)
+        return self._acts[i]
 
     def _member(self, psi):
         v = self._members.get(psi)
@@ -153,13 +128,17 @@ class Fixpoint:
         return v
 
     def add_core(self, j, core):
-        """Record a core new to frame j."""
+        """Add a core to frame j unless it holds it already: block it in the
+        search and add its fixpoint clauses."""
+        assert core, "frames only hold nonempty cores"
+        self.ensure(j)
+        frame = self.frames[j]
+        if core in frame:
+            return
+        self._encoder.block_core(self._acts[j], core)
         solver = self._solver
-        while len(self._cores) <= j:
-            self._cores.append([])
-            self._pos.append(None)
+        while len(self._neg) <= j:
             self._neg.append(solver.new_var())
-            self._refuted.append(-1)
         members = [self._member(psi) for psi in sorted(core, key=lambda g: g.uid)]
         d = self._selectors.get(core)
         if d is None:
@@ -167,35 +146,38 @@ class Fixpoint:
             for m in members:
                 solver.add_clause([-d, m])
         solver.add_clause([-self._neg[j]] + [-m for m in members])
-        self._cores[j].append(d)
+        frame[core] = d
         if self._pos[j] is not None:
             solver.add_clause([-self._pos[j]])
         self._pos[j] = solver.new_var()
-        solver.add_clause([-self._pos[j]] + self._cores[j])
+        solver.add_clause([-self._pos[j]] + list(frame.values()))
 
-    def level(self, before_solve=None):
+    def fixpoint_level(self, before_solve=None):
         """Smallest level at which the frames are a fixpoint, or None; the
-        same answer as `inv_found` on the frames fed so far.
+        same answer as `inv_found(self.frames)`.
 
         `before_solve` is called before each solver call, so a deadline can
         interrupt the test.
         """
         assumptions = []
-        for i in range(len(self._cores) - 1):
+        for i in range(len(self.frames) - 1):
             if self._pos[i] is None:
                 return None
             assumptions.append(self._pos[i])
-            size = len(self._cores[i + 1])
+            size = len(self.frames[i + 1])
             if size == 0 or self._refuted[i] == size:
                 continue
             if before_solve is not None:
                 before_solve()
-            self.solves += 1
+            self.fixpoint_solves += 1
             if self._solver.solve(assumptions + [self._neg[i + 1]]).sat:
                 self._refuted[i] = size
             else:
                 return i
         return None
+
+    def snapshot(self):
+        return tuple(tuple(frame) for frame in self.frames)
 
 
 def inv_found(frames):
@@ -249,11 +231,16 @@ def reconstruct_witness(labels, final_assignment, original, *, keep_tail=False):
     trace = assemble_trace(labels, final_assignment, atoms(original))
     if not keep_tail:
         trace = trace.without_atom(TAIL)
-    if not evaluate(trace, original):
+    return _verified(trace, original)
+
+
+def _verified(trace, f):
+    """The witness trace, once checked against f's semantics."""
+    if not evaluate(trace, f):
         raise WitnessError(
-            f"reconstructed witness does not satisfy the formula: {original!r};"
-            " for raw TNF input this usually means next-step obligations were"
-            " not guarded by the Tail marker"
+            f"witness does not satisfy the formula: {f!r}; for raw TNF input"
+            " this usually means next-step obligations were not guarded by"
+            " the Tail marker"
         )
     return trace
 
@@ -313,7 +300,7 @@ class _Run:
                 return self._sat_verdict(labels, final_assignment, start)
             if self.iteration_hook is not None:
                 self.iteration_hook(frame_level, self.sequence.snapshot())
-            level = self.sequence.fixpoint.level(self._tick)
+            level = self.sequence.fixpoint_level(self._tick)
             if level is not None:
                 return self._unsat_verdict(level, start)
             frame_level += 1
@@ -359,7 +346,7 @@ class _Run:
             sat_calls=self.encoder.sat_calls,
             frames=len(self.sequence),
             elapsed=time.monotonic() - start,
-            fixpoint_solves=self.sequence.fixpoint.solves,
+            fixpoint_solves=self.sequence.fixpoint_solves,
             live_clauses=len(self.encoder.solver.clauses),
         )
 
@@ -417,6 +404,8 @@ def solve(f, engine, *, raw_tnf=False, limits=Limits(), dump_dir=None):
         start = time.monotonic()
         result = naive_check(tnf, state_limit=limits.state_limit, timeout=limits.timeout)
         witness = result.witness_with_tail if raw_tnf else result.witness
+        if result.sat:
+            _verified(witness, f)
         stats = Stats(result.states_expanded, result.sat_calls, 0, time.monotonic() - start,
                       live_clauses=result.live_clauses)
         return Verdict(result.sat, witness, None, stats)

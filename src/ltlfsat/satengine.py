@@ -28,14 +28,13 @@ class SolveResult:
 
 
 class SatSolver:
-    def __init__(self, *, phase_hint=False):
+    def __init__(self):
         self.nvars = 0
         self.assigns = [None]
         self.level = [0]
         self.reason = [None]
-        self.phase = [bool(phase_hint)]
+        self.phase = [False]  # saved phases; a fresh variable is tried false first
         self.activity = [0.0]
-        self.phase_hint = bool(phase_hint)
         self.watches = {}
         self.clauses = []
         self._attached = []  # every watched clause, learned ones included
@@ -57,7 +56,7 @@ class SatSolver:
         self.assigns.append(None)
         self.level.append(0)
         self.reason.append(None)
-        self.phase.append(self.phase_hint)
+        self.phase.append(False)
         self.activity.append(0.0)
         heapq.heappush(self._heap, (0.0, self.nvars))
         return self.nvars

@@ -5,6 +5,10 @@ A state is a set of formulas read as a conjunction. Successor states are the
 next-atom bodies of solver assignments; a state with no pending next
 obligations steps to the distinguished empty-obligation state {true}, which
 is final by construction.
+
+Both questions go to one `Encoder` per system: `successors(encoder, state)`
+enumerates a state's distinct successors, and `encoder.query(state,
+final=True)` tests whether the state can end the trace.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .abstraction import Assignment, Encoder
+from .abstraction import Encoder
 from .errors import Deadline, StateLimitExceeded, TimeoutExceeded
 from .formula import TAIL, FiniteTrace, TRUE, atoms, conjuncts, is_tnf, render
 
@@ -30,112 +34,88 @@ def successor_state(bodies):
     return frozenset(bodies) if bodies else TRUE_STATE
 
 
-@dataclass(frozen=True)
-class Edge:
-    label: Assignment
-    target: frozenset
+def successors(encoder, state):
+    """All successors of a state, one (label, target) pair per distinct
+    target.
 
-
-class TransitionExplorer:
-    """On-demand successor generation for one formula's transition system."""
-
-    def __init__(self, f, *, phase_hint=False):
-        if not is_tnf(f):
-            raise ValueError("transition systems are built over TNF formulas")
-        self.encoder = Encoder(phase_hint=phase_hint)
-        self.initial = state_of(f)
-
-    def is_final(self, state):
-        """Satisfiable iff the state can end the trace at this position."""
-        return self.encoder.query(state, final=True)
-
-    def successors(self, state):
-        """All successors of a state, one edge per distinct target.
-
-        The enumeration's blocking clauses are released once it is
-        exhausted; a generator abandoned early keeps them, which only
-        matters if the explorer is used further.
-        """
-        act = self.encoder.new_activation()
-        _, next_atoms = self.encoder.relevant_atoms(state)
-        while True:
-            out = self.encoder.query(state, acts=(act,))
-            if not out.sat:
-                self.encoder.solver.release(act)
-                return
-            yield Edge(out.assignment, successor_state(out.assignment.next_bodies))
-            self.encoder.block_next_projection(
-                act, next_atoms, out.assignment.next_bodies
-            )
+    The enumeration's blocking clauses are released once it is exhausted; a
+    generator abandoned early keeps them, which only matters if the encoder
+    is used further.
+    """
+    act = encoder.new_activation()
+    _, next_atoms = encoder.relevant_atoms(state)
+    while True:
+        out = encoder.query(state, acts=(act,))
+        if not out.sat:
+            encoder.solver.release(act)
+            return
+        yield out.assignment, successor_state(out.assignment.next_bodies)
+        encoder.block_next_projection(act, next_atoms, out.assignment.next_bodies)
 
 
 @dataclass
 class TransitionSystem:
-    formula: object
     states: list
-    index: dict
     edges: list
     final: dict
-    exhaustive: bool
     sat_calls: int = 0
     preds: dict = field(default_factory=dict)
-    live_clauses: int = 0  # the explorer's clause database size at the end
+    live_clauses: int = 0  # the encoder's clause database size at the end
 
     @property
     def state_count(self):
         return len(self.states)
 
-    def final_indices(self):
-        return [i for i, out in self.final.items() if out.sat]
 
-
-def _explore(f, *, state_limit, stop_on_final, timeout, phase_hint=False):
+def _explore(f, *, state_limit, stop_on_final, timeout):
+    if not is_tnf(f):
+        raise ValueError("transition systems are built over TNF formulas")
     deadline = Deadline(timeout)
-    explorer = TransitionExplorer(f, phase_hint=phase_hint)
-    states = [explorer.initial]
-    index = {explorer.initial: 0}
+    encoder = Encoder()
+    initial = state_of(f)
+    states = [initial]
+    index = {initial: 0}
     edges = []
-    final = {0: explorer.is_final(explorer.initial)}
+    final = {0: encoder.query(initial, final=True)}
     preds = {}
 
-    def system(exhaustive):
-        return TransitionSystem(f, states, index, edges, final, exhaustive,
-                                explorer.encoder.sat_calls, preds,
-                                len(explorer.encoder.solver.clauses))
+    def system():
+        return TransitionSystem(states, edges, final, encoder.sat_calls, preds,
+                                len(encoder.solver.clauses))
 
     found = 0 if final[0].sat else None
     if found is not None and stop_on_final:
-        return system(False), found
+        return system(), found
     queue = deque([0])
     try:
         while queue:
             i = queue.popleft()
-            for edge in explorer.successors(states[i]):
+            for label, target in successors(encoder, states[i]):
                 deadline.check()
-                j = index.get(edge.target)
+                j = index.get(target)
                 fresh = j is None
                 if fresh:
                     if len(states) >= state_limit:
                         raise StateLimitExceeded(state_limit)
                     j = len(states)
-                    states.append(edge.target)
-                    index[edge.target] = j
-                    preds[j] = (i, edge.label)
-                    final[j] = explorer.is_final(edge.target)
+                    states.append(target)
+                    index[target] = j
+                    preds[j] = (i, label)
+                    final[j] = encoder.query(target, final=True)
                     queue.append(j)
-                edges.append((i, edge.label, j))
+                edges.append((i, label, j))
                 if fresh and final[j].sat and found is None:
                     found = j
                     if stop_on_final:
-                        return system(False), found
+                        return system(), found
     except (TimeoutExceeded, StateLimitExceeded) as abort:
         abort.states_expanded = len(states)
         raise
-    return system(True), found
+    return system(), found
 
 
 def build_full_system(f, *, state_limit=DEFAULT_STATE_LIMIT, exhaustive=False,
-                      phase_hint=False, timeout=None):
+                      timeout=None):
     """Breadth-first closure of the initial state under successor generation.
 
     Stops early once a final state is discovered unless exhaustive mode is
@@ -145,7 +125,6 @@ def build_full_system(f, *, state_limit=DEFAULT_STATE_LIMIT, exhaustive=False,
         f,
         state_limit=state_limit,
         stop_on_final=not exhaustive,
-        phase_hint=phase_hint,
         timeout=timeout,
     )
     return ts

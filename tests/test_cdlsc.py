@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ltlfsat.bench import gen_random
+import ltlfsat.cdlsc as cdlsc
 from ltlfsat.cdlsc import (
     ConflictSequence,
     WitnessError,
     check,
     inv_found,
     reconstruct_witness,
+    solve,
 )
 from ltlfsat.errors import FrameLimitExceeded, SatCallLimitExceeded, TimeoutExceeded
 from ltlfsat.abstraction import Assignment, Encoder
 from ltlfsat.formula import (
     TAIL,
     Atom,
+    FiniteTrace,
     Not,
     Release,
     Until,
@@ -25,7 +28,7 @@ from ltlfsat.formula import (
     to_tnf,
 )
 from ltlfsat.semantics import evaluate
-from ltlfsat.transition import build_full_system, naive_check
+from ltlfsat.transition import NaiveResult, build_full_system, naive_check
 
 a, b, tail = Atom("a"), Atom("b"), Atom(TAIL)
 
@@ -150,7 +153,7 @@ def test_incremental_fixpoint_matches_inv_found(steps):
     sequence = ConflictSequence(Encoder())
     for step in steps + [None]:
         if step is None:
-            assert sequence.fixpoint.level() == inv_found(sequence.frames), sequence.frames
+            assert sequence.fixpoint_level() == inv_found(sequence.frames), sequence.frames
         else:
             sequence.add_core(*step)
 
@@ -172,6 +175,14 @@ def test_reconstruct_witness_flags_bad_traces():
     final = Assignment(frozenset({(TAIL, True), ("b", False), ("a", False)}), frozenset())
     with pytest.raises(WitnessError):
         reconstruct_witness([], final, parse("b"))
+
+
+def test_naive_engine_flags_bad_witnesses(monkeypatch):
+    empty = FiniteTrace.make([set()], alphabet={"a"})
+    bad = NaiveResult(True, empty, empty, 1, 1, 0)
+    monkeypatch.setattr(cdlsc, "naive_check", lambda *args, **kwargs: bad)
+    with pytest.raises(WitnessError):
+        solve(parse("a"), "naive")
 
 
 def test_frame_limit_aborts_without_verdict():

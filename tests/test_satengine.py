@@ -144,20 +144,14 @@ def test_assumption_pair_conflict():
     assert r.failed == {x, -x}
 
 
-def test_phase_hint_controls_free_variables():
-    s = SatSolver(phase_hint=False)
+def test_free_variables_default_to_false():
+    s = SatSolver()
     x = s.new_var()
     y = s.new_var()
     s.add_clause([x, y])
     r = s.solve()
     # x is decided false by phase, which forces y
     assert r.model[x] is False and r.model[y] is True
-    s2 = SatSolver(phase_hint=True)
-    a = s2.new_var()
-    b = s2.new_var()
-    s2.add_clause([a, b])
-    r2 = s2.solve()
-    assert r2.model[a] is True and r2.model[b] is True
 
 
 def _reference(nvars, clauses):

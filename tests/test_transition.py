@@ -2,11 +2,11 @@ from collections import deque
 
 import pytest
 
+from ltlfsat.abstraction import Encoder, enumerate_assignments
 from ltlfsat.bench import gen_random
 from ltlfsat.errors import StateLimitExceeded, TimeoutExceeded
 from ltlfsat.formula import (
     TAIL,
-    TRUE,
     And,
     Atom,
     Not,
@@ -19,11 +19,13 @@ from ltlfsat.formula import (
 from ltlfsat.semantics import brute_force_sat, evaluate
 from ltlfsat.transition import (
     TRUE_STATE,
-    TransitionExplorer,
+    brute_bound,
     build_full_system,
     export_dot,
     naive_check,
     state_of,
+    successor_state,
+    successors,
 )
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -50,22 +52,20 @@ def test_initial_state_splits_conjuncts():
 
 
 def test_overview_initial_state_is_final():
-    exp = TransitionExplorer(OVERVIEW)
-    out = exp.is_final(exp.initial)
+    out = Encoder().query(state_of(OVERVIEW), final=True)
     assert out.sat
 
 
 def test_five_conjunct_initial_state_not_final_with_pair_core():
-    exp = TransitionExplorer(FIVE)
-    out = exp.is_final(exp.initial)
+    initial = state_of(FIVE)
+    out = Encoder().query(initial, final=True)
     assert not out.sat
-    assert out.core <= exp.initial
+    assert out.core <= initial
     assert len(out.core) >= 2
 
 
 def test_pure_propositional_state_is_final():
-    exp = TransitionExplorer(And(Atom("p"), Until(TRUE, tail)))
-    out = exp.is_final(frozenset({Atom("p")}))
+    out = Encoder().query(frozenset({Atom("p")}), final=True)
     assert out.sat
     assert out.assignment.value(TAIL) is True
     assert out.assignment.value("p") is True
@@ -76,9 +76,6 @@ def test_overview_self_loop_edge_exists():
     relation; edge labels picked by the engine are representatives, so the
     check enumerates assignments rather than asserting which one comes
     first."""
-    from ltlfsat.abstraction import enumerate_assignments
-    from ltlfsat.transition import successor_state
-
     edges = {
         (lab.literals, successor_state(lab.next_bodies))
         for lab in enumerate_assignments(OVERVIEW)
@@ -88,19 +85,17 @@ def test_overview_self_loop_edge_exists():
 
 
 def test_empty_obligation_successor_is_true_state():
-    f = And(Atom("p"), Until(TRUE, tail))
-    exp = TransitionExplorer(f)
-    targets = {edge.target for edge in exp.successors(frozenset({Atom("p")}))}
+    encoder = Encoder()
+    targets = {target for _, target in successors(encoder, frozenset({Atom("p")}))}
     assert TRUE_STATE in targets
-    out = exp.is_final(TRUE_STATE)
+    out = encoder.query(TRUE_STATE, final=True)
     assert out.sat
 
 
 def test_five_conjunct_full_system_has_at_most_32_states():
     ts = build_full_system(FIVE, exhaustive=True)
     assert ts.state_count <= 32
-    assert ts.exhaustive
-    assert ts.final_indices()
+    assert any(out.sat for out in ts.final.values())
 
 
 def test_single_atom_system_stops_at_initial():
@@ -111,14 +106,26 @@ def test_single_atom_system_stops_at_initial():
 
 
 def test_state_set_is_solver_order_insensitive():
+    """The exhaustive build agrees with a closure computed on another solver
+    path: full-assignment enumeration (different blocking clauses), and
+    final tests that assume Tail as a member instead of the final context."""
     for seed in (3, 11, 27):
         f = to_tnf(to_nnf(gen_random(2, 9, 0.6, seed)))
-        low = build_full_system(f, exhaustive=True, phase_hint=False)
-        high = build_full_system(f, exhaustive=True, phase_hint=True)
-        assert set(low.states) == set(high.states)
-        assert set(map(frozenset, [low.states[i] for i in low.final_indices()])) == set(
-            map(frozenset, [high.states[i] for i in high.final_indices()])
-        )
+        ts = build_full_system(f, exhaustive=True)
+        encoder = Encoder()
+        reached = {state_of(f)}
+        queue = deque(reached)
+        while queue:
+            state = queue.popleft()
+            for assignment in enumerate_assignments(state, encoder=encoder):
+                target = successor_state(assignment.next_bodies)
+                if target not in reached:
+                    reached.add(target)
+                    queue.append(target)
+        assert set(ts.states) == reached
+        final = {state for state in reached
+                 if list(enumerate_assignments(state | {tail}, encoder=encoder))}
+        assert {ts.states[i] for i, out in ts.final.items() if out.sat} == final
 
 
 def test_state_limit_is_an_error_not_a_verdict():
@@ -171,10 +178,7 @@ def test_naive_agrees_with_brute_force():
         tnf = to_tnf(to_nnf(original))
         result = naive_check(tnf)
         full = build_full_system(tnf, exhaustive=True)
-        bound = full.state_count + 1
-        if (1 << (2 * bound)) > 1 << 22:
-            bound = 8
-        witness = brute_force_sat(original, bound)
+        witness = brute_force_sat(original, brute_bound(original, full))
         assert result.sat == (witness is not None), seed
         agreements += 1
     assert agreements == 60
@@ -205,7 +209,6 @@ def test_final_agrees_with_length_one_trace_enumeration():
         f = to_tnf(to_nnf(gen_random(2, 7, 0.5, seed)))
         ts = build_full_system(f, exhaustive=True)
         names = sorted(atoms(f) - {TAIL})
-        exp = TransitionExplorer(f)
         for i, state in enumerate(ts.states):
             state_formula = None
             for member in state:
