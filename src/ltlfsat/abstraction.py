@@ -53,6 +53,15 @@ def propositional_atoms(f):
     return frozenset(out)
 
 
+def expanded_atoms(expanded):
+    """Literal atoms and next-atoms of an expanded (`xnf`) formula."""
+    pa = propositional_atoms(expanded)
+    assert not any(isinstance(a, (Until, Release, WeakNext)) for a in pa)
+    lits = frozenset(a for a in pa if isinstance(a, Atom))
+    nexts = frozenset(a for a in pa if isinstance(a, Next))
+    return lits, nexts
+
+
 _XNF_CACHE = {}
 
 
@@ -186,11 +195,7 @@ class Encoder:
             lit = self._lit(expanded)
             p = self.solver.new_var()
             self.solver.add_clause([-p, lit])
-            pa = propositional_atoms(expanded)
-            assert not any(isinstance(a, (Until, Release, WeakNext)) for a in pa)
-            lits = frozenset(a for a in pa if isinstance(a, Atom))
-            nexts = frozenset(a for a in pa if isinstance(a, Next))
-            entry = (p, lits, nexts)
+            entry = (p, *expanded_atoms(expanded))
             self._members[psi] = entry
         return entry
 

@@ -44,6 +44,7 @@ class Stats:
     elapsed: float = 0.0
     fixpoint_solves: int = 0
     live_clauses: int = 0  # search solver's clause database size at the end
+    table_states: int = 0  # states the naive engine decided by truth table
 
 
 @dataclass
@@ -407,7 +408,7 @@ def solve(f, engine, *, raw_tnf=False, limits=Limits(), dump_dir=None):
         if result.sat:
             _verified(witness, f)
         stats = Stats(result.states_expanded, result.sat_calls, 0, time.monotonic() - start,
-                      live_clauses=result.live_clauses)
+                      live_clauses=result.live_clauses, table_states=result.table_states)
         return Verdict(result.sat, witness, None, stats)
     count = len(atoms(f))
     if count > MAX_BRUTE_ATOMS:

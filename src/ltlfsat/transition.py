@@ -2,13 +2,16 @@
 exhaustive breadth-first checker used as the complete desk-scale oracle.
 
 A state is a set of formulas read as a conjunction. Successor states are the
-next-atom bodies of solver assignments; a state with no pending next
-obligations steps to the distinguished empty-obligation state {true}, which
-is final by construction.
+next-atom bodies of the assignments that satisfy the members' expanded
+(`xnf`) forms; a state with no pending next obligations steps to the
+distinguished empty-obligation state {true}, which is final by construction.
 
-Both questions go to one `Encoder` per system: `successors(encoder, state)`
-enumerates a state's distinct successors, and `encoder.query(state,
-final=True)` tests whether the state can end the trace.
+A state with at most TABLE_ATOMS relevant atoms (literal atoms, next-atoms
+and Tail) is decided by `table_step`, one truth table over every valuation
+of those atoms, with no solver. A larger state goes to the system's
+`Encoder`, created when the first such state is met: `successors(encoder,
+state)` enumerates its distinct successors, and `encoder.query(state,
+final=True)` tests whether it can end the trace.
 """
 
 from __future__ import annotations
@@ -16,13 +19,38 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .abstraction import Encoder
+import numpy as np
+
+from .abstraction import Assignment, Encoder, QueryOutcome, expanded_atoms, xnf
 from .errors import Deadline, StateLimitExceeded, TimeoutExceeded
-from .formula import TAIL, FiniteTrace, TRUE, atoms, conjuncts, is_tnf, render
+from .formula import (
+    TAIL,
+    And,
+    Atom,
+    FiniteTrace,
+    Next,
+    Not,
+    Or,
+    TRUE,
+    TrueConst,
+    atoms,
+    conjuncts,
+    is_tnf,
+    render,
+)
 
 DEFAULT_STATE_LIMIT = 1 << 20
 
+# A table has 2**k rows for k relevant atoms; the oracle suites' states have
+# at most 11, while the conjunction suites' initial states have 21 to 35 and
+# many successors each, which SAT enumeration finds faster.
+TABLE_ATOMS = 14
+
 TRUE_STATE = frozenset({TRUE})
+
+
+def _uid(g):
+    return g.uid
 
 
 def state_of(f):
@@ -36,7 +64,7 @@ def successor_state(bodies):
 
 def successors(encoder, state):
     """All successors of a state, one (label, target) pair per distinct
-    target.
+    next-atom projection (two projections may name the same target).
 
     The enumeration's blocking clauses are released once it is exhausted; a
     generator abandoned early keeps them, which only matters if the encoder
@@ -53,14 +81,92 @@ def successors(encoder, state):
         encoder.block_next_projection(act, next_atoms, out.assignment.next_bodies)
 
 
+def table_step(state, cache):
+    """Final test and successors of a small state from its truth table.
+
+    Rows run over every valuation of the state's relevant atoms, Tail
+    included; the atom at position j in uid order is bit j of the row index.
+    The successors are the distinct next-atom projections of the satisfying
+    rows, in the order of their first rows, each labelled by that first row;
+    the final assignment is the first satisfying row with Tail true. Labels
+    and final assignments carry the same atoms as `Encoder.query`'s.
+
+    Returns (final outcome, [(label, target), ...]), or None when the state
+    has more than TABLE_ATOMS relevant atoms; a final outcome that is unsat
+    carries the whole state as its core. `cache` maps members to their
+    relevant atoms and is owned by the caller.
+    """
+    members = sorted(state, key=_uid)
+    tail = Atom(TAIL)
+    lits, nexts = set(), set()
+    for psi in members:
+        got = cache.get(psi)
+        if got is None:
+            got = cache[psi] = expanded_atoms(xnf(psi))
+        lits |= got[0]
+        nexts |= got[1]
+    columns = sorted(lits | nexts | {tail}, key=_uid)
+    if len(columns) > TABLE_ATOMS:
+        return None
+    rows = np.arange(1 << len(columns))
+    bit = {a.uid: 1 << j for j, a in enumerate(columns)}
+    memo = {}  # by uid: the hash of a formula node is a Python-level call
+
+    def ev(g):
+        got = memo.get(g.uid)
+        if got is None:
+            if isinstance(g, (Atom, Next)):
+                got = (rows & bit[g.uid]) != 0
+            elif isinstance(g, Not):
+                got = ~ev(g.operand)
+            elif isinstance(g, And):
+                got = ev(g.left) & ev(g.right)
+            elif isinstance(g, Or):
+                got = ev(g.left) | ev(g.right)
+            else:
+                got = np.full(rows.size, isinstance(g, TrueConst))
+            memo[g.uid] = got
+        return got
+
+    sat = np.ones(rows.size, dtype=bool)
+    for psi in members:
+        sat &= ev(xnf(psi))
+    hits = rows[sat]
+
+    lit_bits = [(a.name, bit[a.uid]) for a in lits]
+    next_bits = [(n.operand, bit[n.uid]) for n in nexts]
+
+    def assignment(row, names):
+        return Assignment(
+            frozenset((name, bool(row & b)) for name, b in names),
+            frozenset(body for body, b in next_bits if row & b),
+        )
+
+    tail_bit = bit[tail.uid]
+    tail_hits = hits[(hits & tail_bit) != 0]
+    if tail_hits.size:
+        row = int(tail_hits[0])
+        final = QueryOutcome(assignment(row, lit_bits + [(TAIL, tail_bit)]), None)
+    else:
+        final = QueryOutcome(None, frozenset(state))
+    _, first = np.unique(hits & sum(b for _, b in next_bits), return_index=True)
+    steps = []
+    for row in hits[np.sort(first)].tolist():
+        label = assignment(row, lit_bits)
+        steps.append((label, successor_state(label.next_bodies)))
+    return final, steps
+
+
 @dataclass
 class TransitionSystem:
     states: list
     edges: list
     final: dict
+    depth: list  # breadth-first discovery depth of each state
     sat_calls: int = 0
     preds: dict = field(default_factory=dict)
     live_clauses: int = 0  # the encoder's clause database size at the end
+    table_states: int = 0  # states decided by `table_step`
 
     @property
     def state_count(self):
@@ -71,18 +177,38 @@ def _explore(f, *, state_limit, stop_on_final, timeout):
     if not is_tnf(f):
         raise ValueError("transition systems are built over TNF formulas")
     deadline = Deadline(timeout)
-    encoder = Encoder()
+    encoder = None
+    cache = {}
     initial = state_of(f)
     states = [initial]
     index = {initial: 0}
+    depth = [0]
     edges = []
-    final = {0: encoder.query(initial, final=True)}
+    final = {}
     preds = {}
+    tabled = {}  # successors of table-decided states not yet expanded
+    table_states = 0
+
+    def decide(j):
+        """Final test of a fresh state; a table also gives its successors."""
+        nonlocal encoder, table_states
+        table = table_step(states[j], cache)
+        if table is not None:
+            final[j], tabled[j] = table
+            table_states += 1
+            return
+        if encoder is None:
+            encoder = Encoder()
+        final[j] = encoder.query(states[j], final=True)
 
     def system():
-        return TransitionSystem(states, edges, final, encoder.sat_calls, preds,
-                                len(encoder.solver.clauses))
+        sat_calls = live = 0
+        if encoder is not None:
+            sat_calls, live = encoder.sat_calls, len(encoder.solver.clauses)
+        return TransitionSystem(states, edges, final, depth, sat_calls, preds, live,
+                                table_states)
 
+    decide(0)
     found = 0 if final[0].sat else None
     if found is not None and stop_on_final:
         return system(), found
@@ -90,7 +216,8 @@ def _explore(f, *, state_limit, stop_on_final, timeout):
     try:
         while queue:
             i = queue.popleft()
-            for label, target in successors(encoder, states[i]):
+            steps = tabled.pop(i, None)
+            for label, target in successors(encoder, states[i]) if steps is None else steps:
                 deadline.check()
                 j = index.get(target)
                 fresh = j is None
@@ -100,8 +227,9 @@ def _explore(f, *, state_limit, stop_on_final, timeout):
                     j = len(states)
                     states.append(target)
                     index[target] = j
+                    depth.append(depth[i] + 1)
                     preds[j] = (i, label)
-                    final[j] = encoder.query(target, final=True)
+                    decide(j)
                     queue.append(j)
                 edges.append((i, label, j))
                 if fresh and final[j].sat and found is None:
@@ -151,6 +279,7 @@ class NaiveResult:
     states_expanded: int
     sat_calls: int
     live_clauses: int
+    table_states: int = 0
 
 
 def naive_check(f, *, state_limit=DEFAULT_STATE_LIMIT, timeout=None):
@@ -168,7 +297,7 @@ def naive_check(f, *, state_limit=DEFAULT_STATE_LIMIT, timeout=None):
     )
     if found is None:
         return NaiveResult(False, None, None, ts.state_count, ts.sat_calls,
-                           ts.live_clauses)
+                           ts.live_clauses, ts.table_states)
     labels = []
     i = found
     while i != 0:
@@ -184,23 +313,13 @@ def naive_check(f, *, state_limit=DEFAULT_STATE_LIMIT, timeout=None):
         ts.state_count,
         ts.sat_calls,
         ts.live_clauses,
+        ts.table_states,
     )
 
 
 def bfs_depth(ts):
     """Largest breadth-first distance from the initial state."""
-    dist = {0: 0}
-    queue = deque([0])
-    adj = {}
-    for src, _, dst in ts.edges:
-        adj.setdefault(src, set()).add(dst)
-    while queue:
-        i = queue.popleft()
-        for j in adj.get(i, ()):
-            if j not in dist:
-                dist[j] = dist[i] + 1
-                queue.append(j)
-    return max(dist.values())
+    return max(ts.depth)
 
 
 # enumerating more traces than this is out of desk-scale budget; the

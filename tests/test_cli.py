@@ -112,12 +112,25 @@ def test_check_stats_line_counts_fixpoint_solves(capsys):
     assert "fixpoint_solves=1" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("engine", ["cdlsc", "naive"])
-def test_check_stats_line_reports_live_clauses(engine, capsys):
-    assert main(["check", "--oracle", engine, "--formula", "p & ! p"]) == EXIT_UNSAT
+@pytest.mark.parametrize("engine, text, code", [
+    pytest.param("cdlsc", "p & ! p", EXIT_UNSAT, id="cdlsc"),
+    # above the truth-table cap, so naive needs a solver
+    pytest.param("naive", "F a & F b & F c & F d & F e & F f & F g", EXIT_SAT, id="naive"),
+])
+def test_check_stats_line_reports_live_clauses(engine, text, code, capsys):
+    assert main(["check", "--oracle", engine, "--formula", text]) == code
     out = capsys.readouterr().out
     live = int(out.split("live_clauses=")[1].split()[0])
     assert live > 0
+    assert "table_states=0" in out
+
+
+def test_check_stats_line_reports_table_states(capsys):
+    assert main(["check", "--oracle", "naive", "--formula", "p & ! p"]) == EXIT_UNSAT
+    out = capsys.readouterr().out
+    assert "table_states=1" in out
+    assert "sat_calls=0" in out
+    assert "live_clauses=0" in out
 
 
 def test_oracle_subcommand_agreement(capsys):

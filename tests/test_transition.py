@@ -1,16 +1,25 @@
 from collections import deque
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from ltlfsat.abstraction import Encoder, enumerate_assignments
+from ltlfsat.abstraction import Encoder, enumerate_assignments, xnf
 from ltlfsat.bench import gen_random
 from ltlfsat.errors import StateLimitExceeded, TimeoutExceeded
 from ltlfsat.formula import (
+    FALSE,
     TAIL,
+    TRUE,
     And,
     Atom,
+    FalseConst,
+    Next,
     Not,
+    Or,
+    Release,
+    TrueConst,
     Until,
+    WeakNext,
     atoms,
     parse,
     to_nnf,
@@ -19,6 +28,7 @@ from ltlfsat.formula import (
 from ltlfsat.semantics import brute_force_sat, evaluate
 from ltlfsat.transition import (
     TRUE_STATE,
+    bfs_depth,
     brute_bound,
     build_full_system,
     export_dot,
@@ -26,6 +36,7 @@ from ltlfsat.transition import (
     state_of,
     successor_state,
     successors,
+    table_step,
 )
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -37,6 +48,26 @@ FIVE = parse(
     " & ((! Tail) U c)"
 )
 UNSAT3 = parse("((! Tail) U a) & (Tail R ! a) & ((! Tail) U b)")
+# 128 states, every one of them small enough for the truth table
+ANCHOR = to_tnf(to_nnf(parse(
+    "(false) R ((true) U ((((p0) & (X (! (p0)))) R (X (p2))) U (p1)))"
+)))
+
+
+def _edge_distances(ts):
+    """Breadth-first distance of every state reachable over ts.edges."""
+    dist = {0: 0}
+    queue = deque([0])
+    adj = {}
+    for src, _, dst in ts.edges:
+        adj.setdefault(src, set()).add(dst)
+    while queue:
+        i = queue.popleft()
+        for j in adj.get(i, ()):
+            if j not in dist:
+                dist[j] = dist[i] + 1
+                queue.append(j)
+    return dist
 
 
 def test_initial_state_splits_conjuncts():
@@ -106,11 +137,12 @@ def test_single_atom_system_stops_at_initial():
 
 
 def test_state_set_is_solver_order_insensitive():
-    """The exhaustive build agrees with a closure computed on another solver
-    path: full-assignment enumeration (different blocking clauses), and
-    final tests that assume Tail as a member instead of the final context."""
-    for seed in (3, 11, 27):
-        f = to_tnf(to_nnf(gen_random(2, 9, 0.6, seed)))
+    """The exhaustive build, which decides these states by truth table,
+    agrees with a closure computed on a solver path: full-assignment
+    enumeration (different blocking clauses from `successors`), and final
+    tests that assume Tail as a member instead of the final context."""
+    seeded = [to_tnf(to_nnf(gen_random(2, 9, 0.6, seed))) for seed in (3, 11, 27)]
+    for f in seeded + [ANCHOR]:
         ts = build_full_system(f, exhaustive=True)
         encoder = Encoder()
         reached = {state_of(f)}
@@ -142,14 +174,101 @@ def test_timeout_reports_progress():
 
 def test_exhaustive_build_releases_spent_enumerations():
     """Each finished successor enumeration retires its blocking clauses, so
-    the explorer's clause database stays small; keeping them all leaves
-    4645 clauses on this 128-state system."""
-    f = to_tnf(to_nnf(parse(
-        "(false) R ((true) U ((((p0) & (X (! (p0)))) R (X (p2))) U (p1)))"
-    )))
-    ts = build_full_system(f, exhaustive=True)
+    one encoder enumerating every state's successors stays small; keeping
+    them all leaves 4641 clauses on this 128-state system. The build itself
+    decides these states by truth table, so the SAT path is driven here."""
+    ts = build_full_system(ANCHOR, exhaustive=True)
     assert ts.state_count == 128
-    assert ts.live_clauses < 1000
+    assert ts.table_states == 128 and ts.sat_calls == 0 and ts.live_clauses == 0
+    encoder = Encoder()
+    for state in ts.states:
+        for _ in successors(encoder, state):
+            pass
+    assert encoder.sat_calls > ts.state_count
+    assert len(encoder.solver.clauses) < 1000
+
+
+def _holds(g, values, bodies):
+    """Truth of an expanded formula under a label read as a valuation:
+    literal atoms from `values`, next-atoms true iff their body is in
+    `bodies`."""
+    if isinstance(g, TrueConst):
+        return True
+    if isinstance(g, FalseConst):
+        return False
+    if isinstance(g, Atom):
+        return values[g.name]
+    if isinstance(g, Next):
+        return g.operand in bodies
+    if isinstance(g, Not):
+        return not _holds(g.operand, values, bodies)
+    if isinstance(g, And):
+        return _holds(g.left, values, bodies) and _holds(g.right, values, bodies)
+    return _holds(g.left, values, bodies) or _holds(g.right, values, bodies)
+
+
+def _assert_table_matches_sat(state, encoder):
+    table = table_step(state, {})
+    assert table is not None
+    final, steps = table
+    expanded = [xnf(psi) for psi in state]
+    projections = [label.next_bodies for label, _ in steps]
+    assert len(projections) == len(set(projections))
+    for label, target in steps:
+        assert target == successor_state(label.next_bodies)
+        values = dict(label.literals)
+        assert all(_holds(g, values, label.next_bodies) for g in expanded)
+    enumerated = list(successors(encoder, state))
+    assert set(projections) == {label.next_bodies for label, _ in enumerated}
+    assert {target for _, target in steps} == {target for _, target in enumerated}
+    assert final.sat == encoder.query(state, final=True).sat
+    if final.sat:
+        values = dict(final.assignment.literals)
+        assert values[TAIL] is True
+        assert all(_holds(g, values, final.assignment.next_bodies) for g in expanded)
+
+
+def test_table_matches_sat_enumeration_on_anchor():
+    ts = build_full_system(ANCHOR, exhaustive=True)
+    encoder = Encoder()
+    for state in ts.states:
+        _assert_table_matches_sat(state, encoder)
+
+
+def _temporal_formulas(max_leaves):
+    leaf = st.one_of(st.just(TRUE), st.just(FALSE), st.builds(Atom, st.sampled_from("abc")))
+    return st.recursive(
+        leaf,
+        lambda sub: st.one_of(
+            st.builds(Not, sub),
+            st.builds(Next, sub),
+            st.builds(WeakNext, sub),
+            st.builds(And, sub, sub),
+            st.builds(Or, sub, sub),
+            st.builds(Until, sub, sub),
+            st.builds(Release, sub, sub),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_temporal_formulas(8), min_size=1, max_size=3))
+def test_table_matches_sat_enumeration_on_drawn_states(parts):
+    state = frozenset().union(*(state_of(to_tnf(to_nnf(g))) for g in parts))
+    assume(table_step(state, {}) is not None)
+    _assert_table_matches_sat(state, Encoder())
+
+
+def test_bfs_depth_matches_edge_distances():
+    systems = [build_full_system(ANCHOR, exhaustive=True)]
+    for seed in (0, 5, 9):
+        systems.append(build_full_system(to_tnf(to_nnf(gen_random(2, 8, 0.5, seed))),
+                                         exhaustive=True))
+    for ts in systems:
+        dist = _edge_distances(ts)
+        assert ts.depth == [dist[i] for i in range(ts.state_count)]
+        assert bfs_depth(ts) == max(dist.values())
 
 
 def test_naive_check_unsat_example():
@@ -180,6 +299,9 @@ def test_naive_agrees_with_brute_force():
         full = build_full_system(tnf, exhaustive=True)
         witness = brute_force_sat(original, brute_bound(original, full))
         assert result.sat == (witness is not None), seed
+        if witness is not None:
+            # breadth-first discovery makes the naive witness shortest
+            assert len(result.witness) == len(witness), seed
         agreements += 1
     assert agreements == 60
 
@@ -188,18 +310,7 @@ def test_every_state_reachable_from_initial():
     for seed in (0, 5, 9):
         f = to_tnf(to_nnf(gen_random(2, 8, 0.5, seed)))
         ts = build_full_system(f, exhaustive=True)
-        reached = {0}
-        queue = deque([0])
-        adj = {}
-        for src, _, dst in ts.edges:
-            adj.setdefault(src, set()).add(dst)
-        while queue:
-            i = queue.popleft()
-            for j in adj.get(i, ()):
-                if j not in reached:
-                    reached.add(j)
-                    queue.append(j)
-        assert reached == set(range(ts.state_count))
+        assert set(_edge_distances(ts)) == set(range(ts.state_count))
 
 
 def test_final_agrees_with_length_one_trace_enumeration():
