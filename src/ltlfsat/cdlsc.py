@@ -4,14 +4,15 @@ system.
 The checker grows a sequence of frames, one per step budget. Frame i holds
 member cores certifying that any state containing them cannot end a trace
 within i steps. Successor search avoids the current frame; when it runs out
-of candidates, the step query's core seeds the next frame. Unsatisfiability
-is detected when the accumulated frames propositionally force the next one,
-so no state escapes them.
+of candidates, the step query's core seeds the next frame. After each
+failed iteration, cores are pushed forward as in IC3's propagation phase: a
+core of frame i whose successors all stay in frame i also joins frame i+1.
+Unsatisfiability is detected syntactically, once every core of some frame
+is subsumed by a core of the next, so no state escapes the frames.
 
-`ConflictSequence` holds the frames and runs that fixpoint test
-incrementally, on one persistent solver per run; `inv_found` is the
-from-scratch reference it agrees with. `Stats` counts the fixpoint test's
-solves separately from the successor search's SAT calls.
+`ConflictSequence` holds the frames and the syntactic fixpoint test, and
+`inv_found` is the exact propositional test it implies. `Stats.pushes`
+counts the push queries, which `Stats.sat_calls` includes.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class Stats:
     sat_calls: int = 0
     frames: int = 0
     elapsed: float = 0.0
-    fixpoint_solves: int = 0
+    pushes: int = 0  # core-pushing queries, also counted in sat_calls
     live_clauses: int = 0  # search solver's clause database size at the end
     table_states: int = 0  # states the naive engine decided by truth table
 
@@ -69,44 +70,24 @@ class WitnessError(AssertionError):
 
 
 class ConflictSequence:
-    """Frames of member cores plus the run's incremental fixpoint test.
+    """Frames of member cores, each blocking successors in the search.
 
-    Each frame is an insertion-ordered dict from its cores to their
-    fixpoint selectors. In the search encoder a frame's cores block
-    successors under the frame's activation literal, so a new core takes
-    effect on the very next query.
+    Each frame is an insertion-ordered set (dict keys) of cores. In the
+    search encoder a frame's cores block successors under the frame's
+    activation literal, so a new core takes effect on the very next query.
 
-    The fixpoint test (`fixpoint_level`, the incremental `inv_found`) runs
-    on a solver of its own, with a variable per member formula and a
-    selector per distinct core, selector -> member for each member of the
-    core. Frame j contributes:
-
-    - "no core of frame j holds": a clause per core under the fixed
-      activation `_neg[j]`; these only accumulate;
-    - "some core of frame j holds": one clause over the selectors of all its
-      cores under the activation `_pos[j]`. When the frame gains a core the
-      old activation is retired by a root unit and the clause is re-added
-      under a fresh one.
-
-    Level i is tested under the assumptions `_pos[0..i]` and `_neg[i+1]`. A
-    new core in frames 0..i weakens the antecedent and one in frame i+1
-    strengthens the consequent, so a refuted level stays refuted until frame
-    i+1 gains a core. An empty antecedent frame rules out every level from
-    it on and an empty consequent skips its level, exactly as in
-    `inv_found`.
+    The fixpoint is detected syntactically, as in IC3: level i is a fixpoint
+    when frames 0..i are nonempty and every core of frame i is subsumed by a
+    core of frame i+1. Then every state in frame i is in frame i+1, so the
+    frames up to i propositionally force frame i+1 and `inv_found`, the
+    exact test, holds at some level no greater than i. Core pushing
+    (`_Run._push`) is what makes frame i+1 catch up with frame i.
     """
 
     def __init__(self, encoder):
         self._encoder = encoder
         self.frames = []
-        self._acts = []       # per frame: search-side activation
-        self._solver = SatSolver()
-        self._members = {}
-        self._selectors = {}
-        self._pos = []        # per frame: current "some core holds" activation
-        self._neg = []        # per frame up to the last given a core: "no core holds" activation
-        self._refuted = []    # per level: consequent size when last refuted, or -1
-        self.fixpoint_solves = 0
+        self._acts = []  # per frame: activation of its blocking clauses
 
     def __len__(self):
         return len(self.frames)
@@ -115,65 +96,33 @@ class ConflictSequence:
         while len(self.frames) <= i:
             self.frames.append({})
             self._acts.append(self._encoder.new_activation())
-            self._pos.append(None)
-            self._refuted.append(-1)
 
     def act(self, i):
         self.ensure(i)
         return self._acts[i]
 
-    def _member(self, psi):
-        v = self._members.get(psi)
-        if v is None:
-            v = self._members[psi] = self._solver.new_var()
-        return v
-
     def add_core(self, j, core):
-        """Add a core to frame j unless it holds it already: block it in the
-        search and add its fixpoint clauses."""
+        """Add a core to frame j unless it holds it already, and block it in
+        the search."""
         assert core, "frames only hold nonempty cores"
         self.ensure(j)
         frame = self.frames[j]
-        if core in frame:
-            return
-        self._encoder.block_core(self._acts[j], core)
-        solver = self._solver
-        while len(self._neg) <= j:
-            self._neg.append(solver.new_var())
-        members = [self._member(psi) for psi in sorted(core, key=lambda g: g.uid)]
-        d = self._selectors.get(core)
-        if d is None:
-            d = self._selectors[core] = solver.new_var()
-            for m in members:
-                solver.add_clause([-d, m])
-        solver.add_clause([-self._neg[j]] + [-m for m in members])
-        frame[core] = d
-        if self._pos[j] is not None:
-            solver.add_clause([-self._pos[j]])
-        self._pos[j] = solver.new_var()
-        solver.add_clause([-self._pos[j]] + list(frame.values()))
+        if core not in frame:
+            self._encoder.block_core(self._acts[j], core)
+            frame[core] = None
 
-    def fixpoint_level(self, before_solve=None):
-        """Smallest level at which the frames are a fixpoint, or None; the
-        same answer as `inv_found(self.frames)`.
+    def subsumed(self, j, core):
+        """Whether some core of frame j is a subset of core."""
+        return any(d <= core for d in self.frames[j])
 
-        `before_solve` is called before each solver call, so a deadline can
-        interrupt the test.
-        """
-        assumptions = []
+    def fixpoint_level(self):
+        """Smallest level i at which frames 0..i are nonempty and every core
+        of frame i is subsumed by one of frame i+1, or None."""
         for i in range(len(self.frames) - 1):
-            if self._pos[i] is None:
+            frame = self.frames[i]
+            if not frame:
                 return None
-            assumptions.append(self._pos[i])
-            size = len(self.frames[i + 1])
-            if size == 0 or self._refuted[i] == size:
-                continue
-            if before_solve is not None:
-                before_solve()
-            self.fixpoint_solves += 1
-            if self._solver.solve(assumptions + [self._neg[i + 1]]).sat:
-                self._refuted[i] = size
-            else:
+            if all(self.subsumed(i + 1, core) for core in frame):
                 return i
         return None
 
@@ -276,6 +225,8 @@ class _Run:
         self.seen = {self.s0}
         self.sequence = ConflictSequence(self.encoder)
         self.spine = None
+        self.pushes = 0
+        self._failed_pushes = {}  # (level, core) -> size of that frame at the failure
 
     def _tick(self):
         self.deadline.check()
@@ -299,9 +250,11 @@ class _Run:
             if found is not None:
                 labels, final_assignment = found
                 return self._sat_verdict(labels, final_assignment, start)
+            self._push(frame_level)
             if self.iteration_hook is not None:
                 self.iteration_hook(frame_level, self.sequence.snapshot())
-            level = self.sequence.fixpoint_level(self._tick)
+            self._tick()
+            level = self.sequence.fixpoint_level()
             if level is not None:
                 return self._unsat_verdict(level, start)
             frame_level += 1
@@ -341,13 +294,37 @@ class _Run:
             stack.append((succ, level - 1))
         return None
 
+    def _push(self, frame_level):
+        """Push cores forward, as IC3's propagation phase does.
+
+        For each level i up to frame_level in turn, a core of frame i that
+        frame i+1 does not subsume is queried as a state under frame i's
+        activation; if no successor escapes frame i, the query's core joins
+        frame i+1. A failed push is retried only after frame i has grown,
+        since until then the query cannot change its answer.
+        """
+        sequence = self.sequence
+        for i in range(frame_level + 1):
+            frame = sequence.frames[i]
+            size = len(frame)
+            for core in frame:
+                if self._failed_pushes.get((i, core)) == size or sequence.subsumed(i + 1, core):
+                    continue
+                self._tick()
+                self.pushes += 1
+                out = self.encoder.query(core, acts=(sequence.act(i),))
+                if out.sat:
+                    self._failed_pushes[(i, core)] = size
+                else:
+                    sequence.add_core(i + 1, out.core)
+
     def _stats(self, start):
         return Stats(
             states_expanded=len(self.seen),
             sat_calls=self.encoder.sat_calls,
             frames=len(self.sequence),
             elapsed=time.monotonic() - start,
-            fixpoint_solves=self.sequence.fixpoint_solves,
+            pushes=self.pushes,
             live_clauses=len(self.encoder.solver.clauses),
         )
 

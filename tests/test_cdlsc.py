@@ -1,5 +1,6 @@
 import time
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ import ltlfsat.cdlsc as cdlsc
 from ltlfsat.cdlsc import (
     ConflictSequence,
     WitnessError,
+    _frames_imply,
     check,
     inv_found,
     reconstruct_witness,
@@ -147,15 +149,65 @@ _STEPS = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(_STEPS)
-def test_incremental_fixpoint_matches_inv_found(steps):
-    """Random grow-only frames, queried at random points: the persistent
-    fixpoint test answers exactly as the from-scratch reference."""
+def test_syntactic_fixpoint_implies_inv_found(steps):
+    """Random grow-only frames, queried at random points: whenever the
+    syntactic test finds a level, the frames up to it force the next one and
+    the exact reference finds a level no greater."""
     sequence = ConflictSequence(Encoder())
     for step in steps + [None]:
         if step is None:
-            assert sequence.fixpoint_level() == inv_found(sequence.frames), sequence.frames
+            level = sequence.fixpoint_level()
+            if level is not None:
+                frames = sequence.frames
+                assert _frames_imply(frames[: level + 1], frames[level + 1]), frames
+                found = inv_found(frames)
+                assert found is not None and found <= level, frames
         else:
             sequence.add_core(*step)
+
+
+def _pushed_cores(f):
+    """Decide f, recording every core that core pushing adds to a frame,
+    with the source frame as it stood at the push."""
+    pushed = []
+    push, add_core = cdlsc._Run._push, ConflictSequence.add_core
+
+    def recording_push(run, frame_level):
+        def add(j, core):
+            pushed.append((tuple(run.sequence.frames[j - 1]), core))
+            add_core(run.sequence, j, core)
+
+        run.sequence.add_core = add
+        try:
+            push(run, frame_level)
+        finally:
+            del run.sequence.add_core
+
+    with mock.patch.object(cdlsc._Run, "_push", recording_push):
+        check(f)
+    return pushed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3), st.integers(6, 12), st.integers(0, 10**6))
+def test_pushed_cores_block_every_successor(nvars, length, seed):
+    """In the exhaustive system, no final state contains a pushed core, and
+    every successor of a state containing one contains a core of the frame
+    it was pushed from."""
+    f = gen_random(nvars, length, 0.9, seed)
+    pushed = _pushed_cores(f)
+    if not pushed:
+        return
+    ts = build_full_system(to_tnf(to_nnf(f)), exhaustive=True)
+    succs = {}
+    for src, _, dst in ts.edges:
+        succs.setdefault(src, set()).add(dst)
+    for source, core in pushed:
+        for i, state in enumerate(ts.states):
+            if core <= state:
+                assert not ts.final[i].sat, (f, core)
+                for j in succs.get(i, ()):
+                    assert _covered(source, ts.states[j]), (f, core)
 
 
 def test_reconstruct_witness_length_one():
@@ -214,11 +266,11 @@ def _eventualities(n):
                              "!(" + "X " * (n - 1) + "true)"]))
 
 
-def test_fixpoint_solves_are_counted():
-    assert check(parse("a U b")).stats.fixpoint_solves == 0
+def test_pushes_are_counted():
+    assert check(parse("a U b")).stats.pushes == 0
     verdict = check(_eventualities(4))
     assert not verdict.sat
-    assert verdict.stats.fixpoint_solves > 0
+    assert verdict.stats.pushes > 0
     assert verdict.invariant_level == inv_found(verdict.frames)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -107,9 +108,12 @@ def test_oracle_reports_skipped_brute(capsys):
     assert "brute: skipped (5 atoms > 4)" in out
 
 
-def test_check_stats_line_counts_fixpoint_solves(capsys):
+def test_check_stats_line_counts_pushes(capsys):
     assert main(["check", "--formula", "p & ! p"]) == EXIT_UNSAT
-    assert "fixpoint_solves=1" in capsys.readouterr().out
+    assert "pushes=0" in capsys.readouterr().out
+    text = "F p1 & F p2 & G !(p1 & p2) & !(X true)"
+    assert main(["check", "--formula", text]) == EXIT_UNSAT
+    assert re.search(r"pushes=[1-9]", capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("engine, text, code", [
