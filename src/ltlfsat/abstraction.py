@@ -55,11 +55,27 @@ def propositional_atoms(f):
 
 def expanded_atoms(expanded):
     """Literal atoms and next-atoms of an expanded (`xnf`) formula."""
-    pa = propositional_atoms(expanded)
-    assert not any(isinstance(a, (Until, Release, WeakNext)) for a in pa)
-    lits = frozenset(a for a in pa if isinstance(a, Atom))
-    nexts = frozenset(a for a in pa if isinstance(a, Next))
-    return lits, nexts
+    lits = set()
+    nexts = set()
+    seen = set()  # uids of the visited connectives; expansions share subterms
+    stack = [expanded]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if kind is Atom:
+            lits.add(g)
+        elif kind is Next:
+            nexts.add(g)
+        elif kind is And or kind is Or:
+            if g.uid not in seen:
+                seen.add(g.uid)
+                stack.append(g.left)
+                stack.append(g.right)
+        elif kind is Not:
+            stack.append(g.operand)
+        elif kind is not TrueConst and kind is not FalseConst:
+            raise ValueError(f"unexpanded temporal node in an expanded formula: {g!r}")
+    return frozenset(lits), frozenset(nexts)
 
 
 _XNF_CACHE = {}

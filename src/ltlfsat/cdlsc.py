@@ -216,8 +216,7 @@ class _Run:
         self.tnf = normalise(original, raw_tnf)
         self.encoder = Encoder(dump_dir=dump_dir)
         self.s0 = state_of(self.tnf)
-        if max_frames is None:
-            max_frames = 1 << len(closure(self.tnf))
+        # None: 2**|closure(tnf)|, computed by _over_frame_limit when needed
         self.max_frames = max_frames
         self.max_sat_calls = max_sat_calls
         self.deadline = Deadline(timeout)
@@ -233,6 +232,16 @@ class _Run:
         if self.max_sat_calls is not None and self.encoder.sat_calls >= self.max_sat_calls:
             raise SatCallLimitExceeded(self.max_sat_calls)
 
+    def _over_frame_limit(self):
+        frames = len(self.sequence)
+        if self.max_frames is None:
+            # the members of s0 are distinct subformulas, so 2**|s0| bounds
+            # the default limit from below
+            if frames <= 1 << len(self.s0):
+                return False
+            self.max_frames = 1 << len(closure(self.tnf))
+        return frames > self.max_frames
+
     def _note(self, state):
         self.seen.add(state)
 
@@ -244,7 +253,7 @@ class _Run:
         self.sequence.add_core(0, out.core)
         frame_level = 0
         while True:
-            if len(self.sequence) > self.max_frames:
+            if self._over_frame_limit():
                 raise FrameLimitExceeded(self.max_frames)
             found = self._try_satisfy(frame_level)
             if found is not None:

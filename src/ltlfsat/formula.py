@@ -11,11 +11,11 @@ through the raw-TNF entry points.
 from __future__ import annotations
 
 import itertools
+import re
+import sys
 from dataclasses import dataclass
 
 TAIL = "Tail"
-
-_KEYWORDS = frozenset({"true", "false", "X", "N", "U", "R", "G", "F"})
 
 _INTERN: dict = {}
 _UID = itertools.count(1)
@@ -423,161 +423,125 @@ class ParseError(ValueError):
         self.column = column
 
 
-_UNARY_TOKENS = {"!", "X", "N", "G", "F"}
+# A token is an operator, a word (keyword or identifier) or, when neither
+# matches, one stray character.
+_TOKEN = re.compile(r"\s*(<->|->|\w+|\S)")
+_OPERATORS = frozenset({"(", ")", "!", "&", "|", "->", "<->"})
+_PREFIX = frozenset({"!", "X", "N", "G", "F"})
+# binary operators by ascending precedence; all are right-associative
+_PRECEDENCE = {"<->": 1, "->": 2, "|": 3, "&": 4, "U": 5, "R": 6}
+# tokens that can neither start nor be a formula; "" ends the input
+_NOT_OPERAND = frozenset({")", "", *_PRECEDENCE})
+
+
+def _error(message, text, k):
+    """A ParseError at token k of text, or at the end past the last token."""
+    match = next(itertools.islice(_TOKEN.finditer(text), k, None), None)
+    offset = len(text) if match is None else match.start(1)
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def _stray(tok):
+    """Whether a token is neither an operator nor a word that starts with a
+    letter or `_`."""
+    return tok not in _OPERATORS and not (tok[0].isalpha() or tok[0] == "_")
 
 
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append((kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "()!&|":
-            kind = {"(": "lpar", ")": "rpar"}.get(ch, ch)
-            tokens.append((kind, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(("iff", "<->", line, col))
-            i += 3
-            col += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(("imp", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        raise ParseError(f"unknown operator {ch!r}", line, col)
-    tokens.append(("eof", "", line, col))
+    """Token strings of text; a stray character is an unknown operator."""
+    tokens = _TOKEN.findall(text)
+    if any(map(_stray, set(tokens))):
+        k = next(k for k, tok in enumerate(tokens) if _stray(tok))
+        raise _error(f"unknown operator {tokens[k][0]!r}", text, k)
     return tokens
+
+
+def _prefix(op, f):
+    if op == "!":
+        return Not(f)
+    if op == "X":
+        return Next(f)
+    if op == "N":
+        return WeakNext(f)
+    if op == "G":
+        return Release(FALSE, f)
+    return Until(TRUE, f)
+
+
+def _binary_node(op, lhs, rhs):
+    """The node of one binary operator; the left operand of `->` is
+    negated already."""
+    if op == "&":
+        return And(lhs, rhs)
+    if op == "|" or op == "->":
+        return Or(lhs, rhs)
+    if op == "U":
+        return Until(lhs, rhs)
+    if op == "R":
+        return Release(lhs, rhs)
+    return And(Or(Not(lhs), rhs), Or(Not(rhs), lhs))
 
 
 def parse(text):
     """Parse a formula; globally/eventually and implications are desugared.
 
-    Input nested beyond the interpreter's recursion limit, including long
-    flat chains of a right-associative operator, is a ParseError.
+    Operators, loosest first: `<->`, `->`, `|`, `&`, `U`, `R`, all
+    right-associative; the prefix operators `!`, `X`, `N`, `G` and `F` bind
+    tightest. The parser is an operator-precedence loop over an explicit
+    stack, so it uses no recursion. More than `sys.getrecursionlimit()`
+    pending operators (open parentheses, prefix operators and unreduced
+    binary operators, as in a long flat chain of `&`) is a ParseError,
+    because the recursive passes over the resulting formula would exceed
+    the interpreter's recursion limit.
     """
     tokens = _tokenize(text)
-    if tokens[0][0] == "eof":
-        raise ParseError("empty input", tokens[0][2], tokens[0][3])
+    if not tokens:
+        raise _error("empty input", text, 0)
+    tokens.append("")
+    limit = sys.getrecursionlimit()
+    ops = []  # pending prefix and binary operators and open parentheses
+    lhs = []  # left operands of the pending binary operators
     pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def take():
-        nonlocal pos
+    while True:
+        # an operand: prefix operators and parentheses, then a word
+        if len(ops) > limit:
+            raise _error("formula nested too deeply to parse", text, pos - 1)
         tok = tokens[pos]
         pos += 1
-        return tok
-
-    def p_iff():
-        lhs = p_imp()
-        if peek()[0] == "iff":
-            take()
-            rhs = p_iff()
-            return And(Or(Not(lhs), rhs), Or(Not(rhs), lhs))
-        return lhs
-
-    def p_imp():
-        lhs = p_or()
-        if peek()[0] == "imp":
-            take()
-            return Or(Not(lhs), p_imp())
-        return lhs
-
-    def p_or():
-        lhs = p_and()
-        if peek()[0] == "|":
-            take()
-            return Or(lhs, p_or())
-        return lhs
-
-    def p_and():
-        lhs = p_until()
-        if peek()[0] == "&":
-            take()
-            return And(lhs, p_and())
-        return lhs
-
-    def p_until():
-        lhs = p_release()
-        if peek()[0] == "U":
-            take()
-            return Until(lhs, p_until())
-        return lhs
-
-    def p_release():
-        lhs = p_unary()
-        if peek()[0] == "R":
-            take()
-            return Release(lhs, p_release())
-        return lhs
-
-    def p_unary():
-        kind = peek()[0]
-        if kind in _UNARY_TOKENS:
-            take()
-            arg = p_unary()
-            if kind == "!":
-                return Not(arg)
-            if kind == "X":
-                return Next(arg)
-            if kind == "N":
-                return WeakNext(arg)
-            if kind == "G":
-                return Release(FALSE, arg)
-            return Until(TRUE, arg)
-        return p_primary()
-
-    def p_primary():
-        kind, word, ln, cl = peek()
-        if kind == "true":
-            take()
-            return TRUE
-        if kind == "false":
-            take()
-            return FALSE
-        if kind == "ident":
-            take()
-            return Atom(word)
-        if kind == "lpar":
-            take()
-            inner = p_iff()
-            k, w, ln2, cl2 = peek()
-            if k != "rpar":
-                raise ParseError(f"expected ')' but found {w or 'end of input'!r}", ln2, cl2)
-            take()
-            return inner
-        raise ParseError(f"expected a formula but found {word or 'end of input'!r}", ln, cl)
-
-    try:
-        f = p_iff()
-    except RecursionError:
-        _, _, ln, cl = peek()
-        raise ParseError("formula nested too deeply to parse", ln, cl) from None
-    kind, word, ln, cl = peek()
-    if kind != "eof":
-        raise ParseError(f"unexpected trailing input {word!r}", ln, cl)
-    return f
+        if tok in _PREFIX or tok == "(":
+            ops.append(tok)
+            continue
+        if tok == "true":
+            f = TRUE
+        elif tok == "false":
+            f = FALSE
+        elif tok in _NOT_OPERAND:
+            raise _error(f"expected a formula but found {tok or 'end of input'!r}",
+                         text, pos - 1)
+        else:
+            f = Atom(tok)
+        # f is complete: apply its prefix operators and close parentheses
+        while True:
+            while ops and ops[-1] in _PREFIX:
+                f = _prefix(ops.pop(), f)
+            tok = tokens[pos]
+            prec = _PRECEDENCE.get(tok)
+            if prec is not None:
+                break
+            while ops and ops[-1] != "(":
+                f = _binary_node(ops.pop(), lhs.pop(), f)
+            if ops and tok == ")":
+                ops.pop()
+                pos += 1
+                continue
+            if ops:
+                raise _error(f"expected ')' but found {tok or 'end of input'!r}", text, pos)
+            if tok:
+                raise _error(f"unexpected trailing input {tok!r}", text, pos)
+            return f
+        pos += 1
+        while ops and _PRECEDENCE.get(ops[-1], 0) > prec:
+            f = _binary_node(ops.pop(), lhs.pop(), f)
+        lhs.append(Not(f) if tok == "->" else f)
+        ops.append(tok)

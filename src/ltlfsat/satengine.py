@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 _VAR_DECAY = 1.0 / 0.95
 _RESCALE_AT = 1e100
+_INITIAL_CAPACITY = 8  # variables the value array holds before it first doubles
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,9 @@ class SolveResult:
 class SatSolver:
     def __init__(self):
         self.nvars = 0
-        self.assigns = [None]
+        # value of every literal, indexed by the literal itself: vals[v] at
+        # the front, vals[-v] at the back by Python's negative indexing
+        self.vals = [None] * (2 * _INITIAL_CAPACITY)
         self.level = [0]
         self.reason = [None]
         self.phase = [False]  # saved phases; a fresh variable is tried false first
@@ -53,7 +56,10 @@ class SatSolver:
 
     def new_var(self):
         self.nvars += 1
-        self.assigns.append(None)
+        capacity = len(self.vals) // 2
+        if self.nvars >= capacity:
+            # doubling in the middle keeps each negative literal at -v
+            self.vals[capacity:capacity] = [None] * (2 * capacity)
         self.level.append(0)
         self.reason.append(None)
         self.phase.append(False)
@@ -62,10 +68,10 @@ class SatSolver:
         return self.nvars
 
     def value(self, lit):
-        v = self.assigns[abs(lit)]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
+        """True, False, or None while the literal is unassigned."""
+        if lit == 0 or abs(lit) > self.nvars:
+            raise ValueError(f"unknown literal {lit}")
+        return self.vals[lit]
 
     def add_clause(self, lits):
         """Add a clause over existing variables; duplicates are harmless.
@@ -73,16 +79,30 @@ class SatSolver:
         Tautologies and clauses a root fact already satisfies are not kept.
         """
         assert not self.trail_lim, "clauses may only be added between solves"
-        lits = list(dict.fromkeys(lits))
+        lits = dict.fromkeys(lits)
+        vals = self.vals
+        nvars = self.nvars
+        satisfied = False
+        falsified = False
         for lit in lits:
-            if abs(lit) > self.nvars or lit == 0:
+            if abs(lit) > nvars or lit == 0:
                 raise ValueError(f"unknown literal {lit}")
-        if any(-l in lits or self.value(l) is True for l in lits):
+            v = vals[lit]
+            if v is None:
+                if -lit in lits:
+                    satisfied = True
+            elif v:
+                satisfied = True
+            else:
+                falsified = True
+        if satisfied:
             return
-        self.clauses.append(tuple(lits))
+        simp = list(lits)
+        self.clauses.append(tuple(simp))
         if self.root_unsat:
             return
-        simp = [l for l in lits if self.value(l) is not False]
+        if falsified:
+            simp = [l for l in simp if vals[l] is not False]
         if not simp:
             self.root_unsat = True
             return
@@ -138,11 +158,13 @@ class SatSolver:
         return len(self.trail_lim)
 
     def _enqueue(self, lit, reason):
-        v = self.value(lit)
+        vals = self.vals
+        v = vals[lit]
         if v is not None:
             return v
+        vals[lit] = True
+        vals[-lit] = False
         var = abs(lit)
-        self.assigns[var] = lit > 0
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
@@ -152,14 +174,20 @@ class SatSolver:
         if len(self.trail_lim) <= lvl:
             return
         bound = self.trail_lim[lvl]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[i]
+        trail = self.trail
+        vals = self.vals
+        phase = self.phase
+        reason = self.reason
+        activity = self.activity
+        heap = self._heap
+        for i in range(len(trail) - 1, bound - 1, -1):
+            lit = trail[i]
             var = abs(lit)
-            self.phase[var] = lit > 0
-            self.assigns[var] = None
-            self.reason[var] = None
-            heapq.heappush(self._heap, (-self.activity[var], var))
-        del self.trail[bound:]
+            phase[var] = lit > 0
+            vals[lit] = vals[-lit] = None
+            reason[var] = None
+            heapq.heappush(heap, (-activity[var], var))
+        del trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
 
@@ -167,42 +195,50 @@ class SatSolver:
     # propagation and conflict analysis
 
     def _propagate(self):
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
+        trail = self.trail
+        watches = self.watches
+        vals = self.vals
+        level = self.level
+        reason = self.reason
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
             falsified = -p
-            ws = self.watches.get(falsified)
+            ws = watches.get(falsified)
             if not ws:
                 continue
             new_ws = []
-            i = 0
-            n = len(ws)
-            while i < n:
-                c = ws[i]
-                i += 1
+            rest = iter(ws)
+            for c in rest:
                 if c[0] == falsified:
                     c[0], c[1] = c[1], c[0]
                 first = c[0]
-                v0 = self.value(first)
+                v0 = vals[first]
                 if v0 is True:
                     new_ws.append(c)
                     continue
-                moved = False
                 for k in range(2, len(c)):
-                    if self.value(c[k]) is not False:
+                    if vals[c[k]] is not False:
                         c[1], c[k] = c[k], c[1]
-                        self.watches.setdefault(c[1], []).append(c)
-                        moved = True
+                        watches.setdefault(c[1], []).append(c)
                         break
-                if moved:
-                    continue
-                new_ws.append(c)
-                if v0 is False:
-                    new_ws.extend(ws[i:])
-                    self.watches[falsified] = new_ws
-                    return c
-                self._enqueue(first, c)
-            self.watches[falsified] = new_ws
+                else:
+                    new_ws.append(c)
+                    if v0 is False:
+                        new_ws.extend(rest)
+                        watches[falsified] = new_ws
+                        self.qhead = qhead
+                        return c
+                    vals[first] = True
+                    vals[-first] = False
+                    var = abs(first)
+                    level[var] = lvl
+                    reason[var] = c
+                    trail.append(first)
+            watches[falsified] = new_ws
+        self.qhead = qhead
         return None
 
     def _bump(self, var):
@@ -213,7 +249,7 @@ class SatSolver:
                 self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
             act = self.activity[var]
-        if self.assigns[var] is None:
+        if self.vals[var] is None:
             heapq.heappush(self._heap, (-act, var))
 
     def _analyze(self, confl):
@@ -281,9 +317,10 @@ class SatSolver:
 
     def _pick_branch(self):
         heap = self._heap
+        vals = self.vals
         while heap:
             negact, var = heapq.heappop(heap)
-            if self.assigns[var] is None:
+            if vals[var] is None:
                 return var
         return None
 
@@ -297,6 +334,9 @@ class SatSolver:
         failed subset of the assumptions.
         """
         assumptions = list(assumptions)
+        for p in assumptions:
+            if abs(p) > self.nvars or p == 0:
+                raise ValueError(f"unknown literal {p}")
         if self.root_unsat:
             return SolveResult(False, None, frozenset())
         self._cancel_until(0)
@@ -331,7 +371,7 @@ class SatSolver:
             lvl = self.decision_level()
             if lvl < len(assumptions):
                 p = assumptions[lvl]
-                v = self.value(p)
+                v = self.vals[p]
                 if v is False:
                     failed = self._analyze_final(p)
                     self._cancel_until(0)
@@ -342,7 +382,8 @@ class SatSolver:
                 continue
             var = self._pick_branch()
             if var is None:
-                model = {v: self.assigns[v] for v in range(1, self.nvars + 1)}
+                n = self.nvars
+                model = dict(zip(range(1, n + 1), self.vals[1:n + 1]))
                 self._cancel_until(0)
                 return SolveResult(True, model, None)
             self.trail_lim.append(len(self.trail))

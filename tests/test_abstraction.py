@@ -6,6 +6,7 @@ from ltlfsat.abstraction import (
     Assignment,
     Encoder,
     enumerate_assignments,
+    expanded_atoms,
     propositional_atoms,
     xnf,
 )
@@ -76,6 +77,12 @@ def test_xnf_has_no_until_release_atoms():
         for member in conjuncts(f):
             pa = propositional_atoms(xnf(member))
             assert not any(isinstance(g, (Until, Release)) for g in pa)
+            assert expanded_atoms(xnf(member)) == (
+                frozenset(g for g in pa if isinstance(g, Atom)),
+                frozenset(g for g in pa if isinstance(g, Next)),
+            )
+    with pytest.raises(ValueError, match="unexpanded"):
+        expanded_atoms(Or(a, Until(a, b)))
 
 
 def _all_traces(names, max_len):

@@ -25,6 +25,7 @@ from ltlfsat.formula import (
     Not,
     Release,
     Until,
+    closure,
     parse,
     to_nnf,
     to_tnf,
@@ -240,6 +241,18 @@ def test_naive_engine_flags_bad_witnesses(monkeypatch):
 def test_frame_limit_aborts_without_verdict():
     with pytest.raises(FrameLimitExceeded):
         check(UNSAT3, raw_tnf=True, max_frames=0)
+
+
+def test_default_frame_limit_is_computed_once_past_the_initial_state_bound():
+    run = cdlsc._Run(parse("a U b & G ! c"), raw_tnf=False, max_frames=None,
+                     max_sat_calls=None, timeout=None, dump_dir=None, iteration_hook=None)
+    floor = 1 << len(run.s0)
+    run.sequence.ensure(floor - 1)
+    assert not run._over_frame_limit()
+    assert run.max_frames is None
+    run.sequence.ensure(floor)
+    assert not run._over_frame_limit()
+    assert run.max_frames == 1 << len(closure(run.tnf))
 
 
 def test_sat_call_limit_aborts_without_verdict():

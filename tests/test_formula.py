@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -85,6 +87,49 @@ def test_parse_errors_carry_position():
         parse("a b")
     with pytest.raises(ParseError):
         parse("(a")
+
+
+def test_parse_creates_nodes_in_reading_order():
+    # fresh atom names, so that no earlier test has interned these nodes
+    f = parse("order_p1 -> order_p2")
+    p1, p2 = Atom("order_p1"), Atom("order_p2")
+    assert p1.uid < Not(p1).uid < p2.uid < f.uid
+    g = parse("order_q1 & order_q2 & order_q3")
+    q1, q2, q3 = Atom("order_q1"), Atom("order_q2"), Atom("order_q3")
+    inner = And(q2, q3)
+    assert g is And(q1, inner)
+    assert q1.uid < q2.uid < q3.uid < inner.uid < g.uid
+
+
+def test_parse_equivalence_chain_is_right_associative():
+    f = parse("iff_x1 <-> iff_x2 <-> iff_x3")
+    x1, x2, x3 = Atom("iff_x1"), Atom("iff_x2"), Atom("iff_x3")
+    inner = And(Or(Not(x2), x3), Or(Not(x3), x2))
+    assert f is And(Or(Not(x1), inner), Or(Not(inner), x1))
+    # each equivalence is built once its right operand is complete
+    assert x3.uid < Not(x2).uid < inner.uid < Not(x1).uid < f.uid
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("a)", "unexpected trailing input ')'", 1, 2),
+    ("(a b)", "expected ')' but found 'b'", 1, 4),
+    ("a & ", "expected a formula but found 'end of input'", 1, 5),
+    ("()", "expected a formula but found ')'", 1, 2),
+    ("a |\n  (b &\n c", "expected ')' but found 'end of input'", 3, 3),
+    ("a\n\t& 1b", "unknown operator '1'", 2, 4),
+])
+def test_parse_error_messages_and_positions(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_parse_deep_parentheses_without_recursion():
+    assert parse("(" * 300 + "a" + ")" * 300) is Atom("a")
+    depth = sys.getrecursionlimit() + 1
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("(" * depth + "a" + ")" * depth)
 
 
 def test_and_or_are_canonically_ordered():

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ltlfsat.satengine import SatSolver
@@ -128,6 +129,57 @@ def test_verdicts_match_truth_tables():
 
             assert all(val(a) for a in assumptions)
             assert all(any(val(l) for l in clause) for clause in clauses)
+
+
+def _random_clauses(rng, vs, count):
+    return [[v if rng.randrange(2) else -v for v in rng.sample(vs, rng.randrange(1, 4))]
+            for _ in range(count)]
+
+
+def test_value_array_grows_between_solves():
+    """Variables added after a solve, past the value array's capacity, keep
+    the root facts already on the trail and give truth-table verdicts."""
+    rng = random.Random(17)
+    for _ in range(20):
+        s, vs = _fresh(rng.randrange(3, 7))
+        clauses = [[vs[0]], [-vs[0], -vs[1]]] + _random_clauses(rng, vs, rng.randrange(0, 4))
+        for clause in clauses:
+            s.add_clause(clause)
+        if not s.solve().sat:
+            continue
+        assert s.trail, "the root facts stay on the trail between solves"
+        root = {lit: True for lit in s.trail}
+        root.update({-lit: False for lit in s.trail})
+        size = len(s.vals)
+        while len(s.vals) == size:
+            vs.append(s.new_var())
+        vs.extend(s.new_var() for _ in range(rng.randrange(0, 3)))
+        for v in vs:
+            for lit in (v, -v):
+                assert s.value(lit) is root.get(lit)
+        new = _random_clauses(rng, vs, rng.randrange(1, 2 * len(vs)))
+        for clause in new:
+            s.add_clause(clause)
+        clauses += new
+        for _ in range(3):
+            assumptions = [v if rng.randrange(2) else -v
+                           for v in rng.sample(vs, rng.randrange(0, 4))]
+            got = s.solve(assumptions)
+            assert got.sat == _truth_table_sat(len(vs), clauses, assumptions)
+            if got.sat:
+                assert all(got.model[abs(a)] is (a > 0) for a in assumptions)
+                assert all(any(got.model[abs(l)] is (l > 0) for l in c) for c in clauses)
+
+
+def test_unknown_literals_are_rejected():
+    s, (x,) = _fresh(1)
+    for bad in (0, 2, -2):
+        with pytest.raises(ValueError, match="unknown literal"):
+            s.add_clause([x, bad])
+        with pytest.raises(ValueError, match="unknown literal"):
+            s.solve([bad])
+        with pytest.raises(ValueError, match="unknown literal"):
+            s.value(bad)
 
 
 def test_model_is_total():
