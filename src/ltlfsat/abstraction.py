@@ -139,21 +139,29 @@ class QueryOutcome:
         return self.assignment is not None
 
 
-class Encoder:
-    """Formula-to-variable tables plus the persistent solver for one checker.
+class _QueryCount:
+    """Queries made through a group of sibling encoders, rechecks excluded."""
 
-    Single-owner: one encoder per checker instance; independent encoders may
-    run in parallel.
+    __slots__ = ("n",)
+
+    def __init__(self):
+        self.n = 0
+
+
+class Encoder:
+    """Formula-to-variable tables plus one persistent solver.
+
+    Single-owner: an encoder and its siblings (see `sibling`) belong to one
+    checker run; independent encoders may run in parallel.
     """
 
     def __init__(self, *, dump_dir=None):
         self.solver = SatSolver()
-        self.sat_calls = 0
+        self._queries = _QueryCount()
         self._atom_vars = {}
         self._def_vars = {}
         self._members = {}
         self._dump_dir = dump_dir
-        self._dump_count = 0
         if dump_dir is not None:
             os.makedirs(dump_dir, exist_ok=True)
         self._true = self.solver.new_var()
@@ -161,6 +169,19 @@ class Encoder:
         self._tail_var = self.atom_var(Atom(TAIL))
         self.final_activation = self.solver.new_var()
         self.solver.add_clause([-self.final_activation, self._tail_var])
+
+    @property
+    def sat_calls(self):
+        """Queries made through this encoder and its siblings, rechecks
+        excluded; clause dumps are numbered by this count."""
+        return self._queries.n
+
+    def sibling(self):
+        """A fresh encoder with a solver of its own that shares this one's
+        query count, and so its clause dump directory and numbering."""
+        other = Encoder(dump_dir=self._dump_dir)
+        other._queries = self._queries
+        return other
 
     def atom_var(self, pa):
         v = self._atom_vars.get(pa)
@@ -267,10 +288,10 @@ class Encoder:
         assumptions.extend(acts)
         if final:
             assumptions.append(self.final_activation)
-        if self._dump_dir is not None and not _recheck:
-            self._dump(assumptions)
         if not _recheck:
-            self.sat_calls += 1
+            self._queries.n += 1
+            if self._dump_dir is not None:
+                self._dump(assumptions)
         res = self.solver.solve(assumptions)
         if res.sat:
             rel_lits = set()
@@ -300,12 +321,12 @@ class Encoder:
 
     def _dump(self, assumptions):
         """One query per file, standard competition clause-list format."""
-        self._dump_count += 1
-        path = os.path.join(self._dump_dir, f"query{self._dump_count:05d}.cnf")
+        number = self._queries.n
+        path = os.path.join(self._dump_dir, f"query{number:05d}.cnf")
         # root facts as units: clauses they satisfy may have been dropped
         clauses = self.solver.clauses + [(lit,) for lit in self.solver.trail]
         lines = [
-            f"c query {self._dump_count}; assumptions appended as unit clauses",
+            f"c query {number}; assumptions appended as unit clauses",
             f"p cnf {self.solver.nvars} {len(clauses) + len(assumptions)}",
         ]
         lines.extend(" ".join(map(str, c)) + " 0" for c in clauses)

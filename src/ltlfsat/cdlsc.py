@@ -10,9 +10,15 @@ core of frame i whose successors all stay in frame i also joins frame i+1.
 Unsatisfiability is detected syntactically, once every core of some frame
 is subsumed by a core of the next, so no state escapes the frames.
 
-`ConflictSequence` holds the frames and the syntactic fixpoint test, and
-`inv_found` is the exact propositional test it implies. `Stats.pushes`
-counts the push queries, which `Stats.sat_calls` includes.
+Each frame blocks successors in a solver of its own, as in Bradley's IC3,
+so a query propagates through the cores of its frame only. Frame 0 shares
+the run's solver with the final-position queries, whose member encodings it
+would otherwise repeat.
+
+`ConflictSequence` holds the frames, their solvers and the syntactic
+fixpoint test, and `inv_found` is the exact propositional test it implies.
+`Stats.pushes` counts the push queries, which `Stats.sat_calls` includes;
+`Stats.sat_calls` counts the queries of every solver of the run.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ class Stats:
     frames: int = 0
     elapsed: float = 0.0
     pushes: int = 0  # core-pushing queries, also counted in sat_calls
-    live_clauses: int = 0  # search solver's clause database size at the end
+    live_clauses: int = 0  # clauses held by all of the run's solvers at the end
     table_states: int = 0  # states the naive engine decided by truth table
 
 
@@ -72,9 +78,14 @@ class WitnessError(AssertionError):
 class ConflictSequence:
     """Frames of member cores, each blocking successors in the search.
 
-    Each frame is an insertion-ordered set (dict keys) of cores. In the
-    search encoder a frame's cores block successors under the frame's
-    activation literal, so a new core takes effect on the very next query.
+    Each frame is an insertion-ordered set (dict keys) of cores. A state at
+    level i is queried in frame i's encoder, where frame i's cores block
+    successors under one activation literal, so a new core takes effect on
+    the very next query. Frame 0 lives in the run's encoder, which also
+    answers the final-position queries. Every other frame gets an encoder of
+    its own, a sibling of the run's, when it is first queried, so no query
+    visits the blocking clauses of another frame; it blocks the cores the
+    frame holds by then.
 
     The fixpoint is detected syntactically, as in IC3: level i is a fixpoint
     when frames 0..i are nonempty and every core of frame i is subsumed by a
@@ -87,7 +98,7 @@ class ConflictSequence:
     def __init__(self, encoder):
         self._encoder = encoder
         self.frames = []
-        self._acts = []  # per frame: activation of its blocking clauses
+        self._contexts = []  # per frame: (encoder, activation) once queried
 
     def __len__(self):
         return len(self.frames)
@@ -95,21 +106,36 @@ class ConflictSequence:
     def ensure(self, i):
         while len(self.frames) <= i:
             self.frames.append({})
-            self._acts.append(self._encoder.new_activation())
+            self._contexts.append(None)
 
-    def act(self, i):
+    def context(self, i):
+        """Encoder and activation literal that query a state under frame i."""
         self.ensure(i)
-        return self._acts[i]
+        context = self._contexts[i]
+        if context is None:
+            encoder = self._encoder if i == 0 else self._encoder.sibling()
+            act = encoder.new_activation()
+            for core in self.frames[i]:
+                encoder.block_core(act, core)
+            context = self._contexts[i] = (encoder, act)
+        return context
 
     def add_core(self, j, core):
         """Add a core to frame j unless it holds it already, and block it in
-        the search."""
+        frame j's encoder."""
         assert core, "frames only hold nonempty cores"
         self.ensure(j)
         frame = self.frames[j]
         if core not in frame:
-            self._encoder.block_core(self._acts[j], core)
             frame[core] = None
+            context = self._contexts[j]
+            if context is not None:
+                context[0].block_core(context[1], core)
+
+    def live_clauses(self):
+        """Clauses held by the run's solver and by every frame's own."""
+        own = [c[0] for c in self._contexts[1:] if c is not None]
+        return sum(len(e.solver.clauses) for e in [self._encoder, *own])
 
     def subsumed(self, j, core):
         """Whether some core of frame j is a subset of core."""
@@ -281,7 +307,8 @@ class _Run:
         while stack:
             state, level = stack[-1]
             self._tick()
-            out = self.encoder.query(state, acts=(self.sequence.act(level),))
+            encoder, act = self.sequence.context(level)
+            out = encoder.query(state, acts=(act,))
             if not out.sat:
                 self.sequence.add_core(level + 1, out.core)
                 stack.pop()
@@ -321,7 +348,8 @@ class _Run:
                     continue
                 self._tick()
                 self.pushes += 1
-                out = self.encoder.query(core, acts=(sequence.act(i),))
+                encoder, act = sequence.context(i)
+                out = encoder.query(core, acts=(act,))
                 if out.sat:
                     self._failed_pushes[(i, core)] = size
                 else:
@@ -334,7 +362,7 @@ class _Run:
             frames=len(self.sequence),
             elapsed=time.monotonic() - start,
             pushes=self.pushes,
-            live_clauses=len(self.encoder.solver.clauses),
+            live_clauses=self.sequence.live_clauses(),
         )
 
     def _sat_verdict(self, labels, final_assignment, start):

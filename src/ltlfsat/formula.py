@@ -195,12 +195,12 @@ def atoms(f):
     """Set of atom names occurring in f."""
     out = set()
     stack = [f]
-    seen = set()
+    seen = set()  # uids: an int hashes without calling Formula.__hash__
     while stack:
         g = stack.pop()
-        if g in seen:
+        if g.uid in seen:
             continue
-        seen.add(g)
+        seen.add(g.uid)
         if isinstance(g, Atom):
             out.add(g.name)
         elif isinstance(g, _UNARY):

@@ -47,7 +47,9 @@ class SatSolver:
         self.root_unsat = False
         self.var_inc = 1.0
         self.total_conflicts = 0
-        self._heap = []
+        self._heap = []  # (-activity, var) entries, stale ones included
+        # per variable: whether the heap holds an entry at its current activity
+        self._heaped = [False]
         self._simplify_pending = False
         self._simplified = 0  # root trail length at the last simplification
 
@@ -64,6 +66,7 @@ class SatSolver:
         self.reason.append(None)
         self.phase.append(False)
         self.activity.append(0.0)
+        self._heaped.append(True)
         heapq.heappush(self._heap, (0.0, self.nvars))
         return self.nvars
 
@@ -180,16 +183,30 @@ class SatSolver:
         reason = self.reason
         activity = self.activity
         heap = self._heap
+        heaped = self._heaped
         for i in range(len(trail) - 1, bound - 1, -1):
             lit = trail[i]
             var = abs(lit)
             phase[var] = lit > 0
             vals[lit] = vals[-lit] = None
             reason[var] = None
-            heapq.heappush(heap, (-activity[var], var))
+            if not heaped[var]:
+                heaped[var] = True
+                heapq.heappush(heap, (-activity[var], var))
         del trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
+        if len(heap) > 2 * self.nvars:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self):
+        """One entry per unassigned variable, at its current activity."""
+        vals = self.vals
+        activity = self.activity
+        heap = [(-activity[v], v) for v in range(1, self.nvars + 1) if vals[v] is None]
+        heapq.heapify(heap)
+        self._heap = heap
+        self._heaped = [vals[v] is None for v in range(self.nvars + 1)]
 
     # ------------------------------------------------------------------
     # propagation and conflict analysis
@@ -245,12 +262,15 @@ class SatSolver:
         act = self.activity[var] + self.var_inc
         self.activity[var] = act
         if act > _RESCALE_AT:
+            scale = 1.0 / _RESCALE_AT
             for v in range(1, self.nvars + 1):
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
-            act = self.activity[var]
-        if self.vals[var] is None:
+                self.activity[v] *= scale
+            self.var_inc *= scale
+            self._rebuild_heap()
+        elif self.vals[var] is None:
             heapq.heappush(self._heap, (-act, var))
+        else:
+            self._heaped[var] = False  # its entry, if any, is below the new activity
 
     def _analyze(self, confl):
         learnt = [0]
@@ -317,9 +337,11 @@ class SatSolver:
 
     def _pick_branch(self):
         heap = self._heap
+        heaped = self._heaped
         vals = self.vals
         while heap:
-            negact, var = heapq.heappop(heap)
+            _, var = heapq.heappop(heap)
+            heaped[var] = False
             if vals[var] is None:
                 return var
         return None

@@ -22,6 +22,7 @@ from ltlfsat.formula import (
     TAIL,
     Atom,
     FiniteTrace,
+    Next,
     Not,
     Release,
     Until,
@@ -390,3 +391,96 @@ def test_success_spine_escapes_the_frames():
                 assert not _covered(frames[level], state), seed
         found += 1
     assert found >= 2
+
+
+def test_frame_solvers_block_cores_added_before_they_exist():
+    run_encoder = Encoder()
+    sequence = ConflictSequence(run_encoder)
+    state = frozenset({Next(a)})  # its only successor holds a
+    with mock.patch.object(Encoder, "sibling", autospec=True,
+                           side_effect=Encoder.sibling) as sibling:
+        sequence.add_core(1, frozenset({a}))
+        assert sibling.call_count == 0
+        encoder, act = sequence.context(1)
+        assert sibling.call_count == 1
+        assert sequence.context(1) == (encoder, act)
+    assert encoder is not run_encoder and encoder.solver is not run_encoder.solver
+    assert not encoder.query(state, acts=(act,)).sat
+    # frame 0 lives in the run's encoder, which holds none of frame 1's cores
+    assert sequence.context(0)[0] is run_encoder
+    assert run_encoder.query(state, acts=(sequence.context(0)[1],)).sat
+    # a core added once the frame's solver exists is blocked at once
+    other = frozenset({Next(b)})
+    assert encoder.query(other, acts=(act,)).sat
+    sequence.add_core(1, frozenset({b}))
+    assert not encoder.query(other, acts=(act,)).sat
+    # siblings count queries, rechecks excluded, together
+    assert run_encoder.sat_calls == encoder.sat_calls == 4
+
+
+def test_frame_zero_shares_the_run_encoder():
+    run = cdlsc._Run(_eventualities(4), raw_tnf=False, max_frames=None,
+                     max_sat_calls=None, timeout=None, dump_dir=None, iteration_hook=None)
+    created = []
+    sibling = Encoder.sibling
+
+    def recording_sibling(encoder):
+        created.append(sibling(encoder))
+        return created[-1]
+
+    with mock.patch.object(Encoder, "sibling", recording_sibling):
+        verdict = run.check()
+    assert not verdict.sat and len(created) >= 2
+    assert run.sequence.context(0)[0] is run.encoder
+    assert [run.sequence.context(i)[0] for i in range(1, len(created) + 1)] == created
+    solvers = [e.solver for e in [run.encoder, *created]]
+    assert len({id(s) for s in solvers}) == len(solvers)
+    assert verdict.stats.live_clauses == sum(len(s.clauses) for s in solvers)
+    assert verdict.stats.sat_calls == run.encoder.sat_calls
+
+
+def test_clause_dumps_number_every_query_of_the_run(tmp_path):
+    queries = []
+    query = Encoder.query
+
+    def counting_query(encoder, state, **kwargs):
+        queries.append(kwargs.get("_recheck", False))
+        return query(encoder, state, **kwargs)
+
+    with mock.patch.object(Encoder, "query", counting_query):
+        verdict = check(parse("X X X X a & G (a -> X !a) & F (b & X b)"), dump_dir=tmp_path)
+    assert verdict.sat and verdict.stats.frames > 2
+    assert verdict.stats.sat_calls == queries.count(False)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == [f"query{i:05d}.cnf" for i in range(1, verdict.stats.sat_calls + 1)]
+
+
+def _distinct_eventualities(names):
+    pairs = [f"!({p} & {q})" for i, p in enumerate(names) for q in names[i + 1:]]
+    return " & ".join([f"F {p}" for p in names] + ["G (" + " & ".join(pairs) + ")",
+                                                     "!(" + "X " * (len(names) - 1) + "true)"])
+
+
+# seed 1 of the benchmark's deep workload: text, verdict, frames, invariant level
+_DEEP_SEED_1 = {
+    "chain-10": ("X " * 10 + "a17", True, 10, None),
+    "chain-20": ("X " * 20 + "a72", True, 20, None),
+    "chain-30": ("X " * 30 + "a97", True, 30, None),
+    "chain-40": ("X " * 40 + "a8", True, 40, None),
+    "eventualities-4": (_distinct_eventualities(["e32", "e15", "e63", "e97"]), False, 5, 3),
+    "eventualities-5": (_distinct_eventualities(["e57", "e60", "e83", "e48", "e26"]),
+                        False, 6, 4),
+    "eventualities-6": (_distinct_eventualities(["e12", "e62", "e3", "e49", "e55", "e77"]),
+                        False, 7, 5),
+    "eventualities-7": (_distinct_eventualities(["e97", "e98", "e0", "e89", "e57", "e34",
+                                                 "e92"]), False, 8, 6),
+}
+
+
+@pytest.mark.parametrize("name", list(_DEEP_SEED_1))
+def test_deep_instances_keep_their_verdicts_and_frames(name):
+    text, sat, frames, level = _DEEP_SEED_1[name]
+    verdict = check(parse(text))
+    assert (verdict.sat, verdict.stats.frames, verdict.invariant_level) == (sat, frames, level)
+    if not sat:
+        assert inv_found(verdict.frames) <= level

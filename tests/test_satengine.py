@@ -1,9 +1,11 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ltlfsat.satengine as satengine
 from ltlfsat.satengine import SatSolver
 
 
@@ -263,3 +265,65 @@ def test_release_matches_a_solver_without_the_released_groups(data):
         gone = {-act for act in released}
         assert all(gone.isdisjoint(c) for c in s.clauses)
         assert all(gone.isdisjoint(c) for ws in s.watches.values() for c in ws)
+
+
+class _CheckedHeap(SatSolver):
+    """Asserts at every decision that the VSIDS heap picks the unassigned
+    variable of highest activity, lowest index first, and stays bounded."""
+
+    def __init__(self):
+        super().__init__()
+        self.rescales = 0
+
+    def _pick_branch(self):
+        assert len(self._heap) <= 2 * self.nvars + 1
+        free = [v for v in range(1, self.nvars + 1) if self.vals[v] is None]
+        expected = min(free, key=lambda v: (-self.activity[v], v), default=None)
+        got = super()._pick_branch()
+        assert got == expected
+        return got
+
+    def _bump(self, var):
+        inc = self.var_inc
+        super()._bump(var)
+        self.rescales += self.var_inc < inc
+
+
+# a low threshold makes activity rescales happen within small instances
+_LOW_RESCALE = mock.patch.object(satengine, "_RESCALE_AT", 1.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_decisions_follow_activity_across_rescales(data):
+    nvars = data.draw(st.integers(3, 12), label="nvars")
+    s = _CheckedHeap()
+    vs = [s.new_var() for _ in range(nvars)]
+    lit = st.sampled_from(vs).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = data.draw(st.lists(st.lists(lit, min_size=2, max_size=3, unique_by=abs),
+                                 min_size=nvars, max_size=5 * nvars), label="clauses")
+    for clause in clauses:
+        s.add_clause(clause)
+    with _LOW_RESCALE:
+        for _ in range(data.draw(st.integers(1, 4), label="solves")):
+            assumptions = data.draw(st.lists(lit, max_size=3, unique_by=abs), label="assume")
+            got = s.solve(assumptions)
+            assert got.sat == _truth_table_sat(nvars, clauses, assumptions)
+            assert len(s._heap) <= 2 * s.nvars + 1
+
+
+def test_rescales_keep_the_heap_consistent():
+    """Pigeonhole 5 into 4 needs enough conflicts to rescale activities
+    several times under a low threshold; every decision is still the most
+    active free variable."""
+    s = _CheckedHeap()
+    holes = 4
+    x = [[s.new_var() for _ in range(holes)] for _ in range(holes + 1)]
+    for row in x:
+        s.add_clause(row)
+    for h in range(holes):
+        for i, j in itertools.combinations(range(holes + 1), 2):
+            s.add_clause([-x[i][h], -x[j][h]])
+    with _LOW_RESCALE:
+        assert not s.solve().sat
+    assert s.rescales > 1
