@@ -7,6 +7,12 @@ back with a core: the subset of members whose assumption variables the
 engine reports as failed. Contexts are retracted with activation literals:
 the final-position context asserts the Tail atom, step contexts carry
 blocking clauses over next-step atoms.
+
+Everything that depends on a member alone is computed once per process and
+cached by the interned node: its expanded form (`xnf`) and its encoding
+recipe, the distinct nodes of that form in the order a recursive Tseitin
+encoding would first reach them. An encoder replays a member's recipe into
+its own solver.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ import os
 from dataclasses import dataclass
 
 from .formula import (
+    FALSE,
     TAIL,
+    TRUE,
     And,
     Atom,
     FalseConst,
@@ -39,8 +47,12 @@ def propositional_atoms(f):
     """
     out = set()
     stack = [f]
+    seen = set()  # uids: shared subterms are read once
     while stack:
         g = stack.pop()
+        if g.uid in seen:
+            continue
+        seen.add(g.uid)
         if isinstance(g, (TrueConst, FalseConst)):
             continue
         if isinstance(g, (Atom, Next, Until, Release, WeakNext)):
@@ -110,6 +122,45 @@ def xnf(f):
     return out
 
 
+# Encoding recipe of every member encoded so far in this process, keyed by
+# the interned member as `_XNF_CACHE` is.
+_RECIPE_CACHE = {}
+
+
+def _recipe(psi):
+    """The member's encoding recipe: the distinct nodes of `xnf(psi)` in
+    post-order, left operand first, and its `expanded_atoms`.
+
+    Negated atoms, atoms, next-atoms and constants are the leaves. The
+    order is the one in which a recursive Tseitin encoding first reaches
+    each node, so replaying it creates the same variables and clauses.
+    """
+    got = _RECIPE_CACHE.get(psi)
+    if got is not None:
+        return got
+    expanded = xnf(psi)
+    lits, nexts = expanded_atoms(expanded)
+    steps = []
+    seen = set()
+    stack = [(expanded, False)]
+    while stack:
+        g, complete = stack.pop()
+        if complete:
+            steps.append(g)
+        elif g.uid not in seen:
+            seen.add(g.uid)
+            kind = type(g)
+            if kind is And or kind is Or:
+                stack.append((g, True))
+                stack.append((g.right, False))
+                stack.append((g.left, False))
+            else:
+                steps.append(g)
+    got = (tuple(steps), lits, nexts)
+    _RECIPE_CACHE[psi] = got
+    return got
+
+
 @dataclass(frozen=True)
 class Assignment:
     """A solver model restricted to the atoms relevant to one query.
@@ -149,7 +200,15 @@ class _QueryCount:
 
 
 class Encoder:
-    """Formula-to-variable tables plus one persistent solver.
+    """A node-to-literal table plus one persistent solver.
+
+    The table maps the uid of every node encoded so far to its literal
+    (an int key hashes without calling `Formula.__hash__`): an atom or
+    next-atom to its variable, a negated atom to the negated variable, a
+    connective of an expanded form to its definition variable, and the
+    constants to the literals of a variable fixed true. `member` replays a
+    member's cached recipe (see `_recipe`) and encodes only the nodes the
+    table lacks, so members that share subterms share their definitions.
 
     Single-owner: an encoder and its siblings (see `sibling`) belong to one
     checker run; independent encoders may run in parallel.
@@ -158,14 +217,13 @@ class Encoder:
     def __init__(self, *, dump_dir=None):
         self.solver = SatSolver()
         self._queries = _QueryCount()
-        self._atom_vars = {}
-        self._def_vars = {}
         self._members = {}
         self._dump_dir = dump_dir
         if dump_dir is not None:
             os.makedirs(dump_dir, exist_ok=True)
         self._true = self.solver.new_var()
         self.solver.add_clause([self._true])
+        self._lits = {TRUE.uid: self._true, FALSE.uid: -self._true}
         self._tail_var = self.atom_var(Atom(TAIL))
         self.final_activation = self.solver.new_var()
         self.solver.add_clause([-self.final_activation, self._tail_var])
@@ -184,56 +242,42 @@ class Encoder:
         return other
 
     def atom_var(self, pa):
-        v = self._atom_vars.get(pa)
+        """The variable of an atom or next-atom, created on first use."""
+        v = self._lits.get(pa.uid)
         if v is None:
             v = self.solver.new_var()
-            self._atom_vars[pa] = v
+            self._lits[pa.uid] = v
         return v
 
-    def _lit(self, g):
-        """Literal equisatisfiable with g under positive polarity."""
-        if isinstance(g, TrueConst):
-            return self._true
-        if isinstance(g, FalseConst):
-            return -self._true
-        if isinstance(g, Atom):
-            return self.atom_var(g)
-        if isinstance(g, Not):
-            if not isinstance(g.operand, Atom):
-                raise ValueError(f"negation above a non-atom reached the encoder: {g!r}")
-            return -self.atom_var(g.operand)
-        if isinstance(g, Next):
-            return self.atom_var(g)
-        if isinstance(g, (And, Or)):
-            d = self._def_vars.get(g)
-            if d is None:
-                left = self._lit(g.left)
-                right = self._lit(g.right)
-                d = self.solver.new_var()
-                self._def_vars[g] = d
-                # full definitional equivalence, so definition variables track
-                # their structure and never force don't-care atoms
-                if isinstance(g, And):
-                    self.solver.add_clause([-d, left])
-                    self.solver.add_clause([-d, right])
-                    self.solver.add_clause([d, -left, -right])
-                else:
-                    self.solver.add_clause([-d, left, right])
-                    self.solver.add_clause([d, -left])
-                    self.solver.add_clause([d, -right])
-            return d
-        raise ValueError(f"unexpanded temporal node reached the encoder: {g!r}")
-
     def member(self, psi):
-        """Assumption variable and relevant-atom sets for one state member."""
-        entry = self._members.get(psi)
+        """Assumption variable and relevant-atom sets for one state member.
+
+        A connective gets a definition variable, fully defined by its
+        operands, so definition variables track their structure and never
+        force don't-care atoms.
+        """
+        entry = self._members.get(psi.uid)
         if entry is None:
-            expanded = xnf(psi)
-            lit = self._lit(expanded)
-            p = self.solver.new_var()
-            self.solver.add_clause([-p, lit])
-            entry = (p, *expanded_atoms(expanded))
-            self._members[psi] = entry
+            steps, lits, nexts = _recipe(psi)
+            table = self._lits
+            solver = self.solver
+            for g in steps:
+                uid = g.uid
+                if uid in table:
+                    continue
+                kind = type(g)
+                if kind is And or kind is Or:
+                    d = solver.new_var()
+                    solver.add_definition(d, table[g.left.uid], table[g.right.uid], kind is And)
+                    table[uid] = d
+                elif kind is Not:
+                    table[uid] = -self.atom_var(g.operand)
+                else:
+                    table[uid] = solver.new_var()
+            p = solver.new_var()
+            solver.add_clause([-p, table[steps[-1].uid]])
+            entry = (p, lits, nexts)
+            self._members[psi.uid] = entry
         return entry
 
     def relevant_atoms(self, state):

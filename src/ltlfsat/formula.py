@@ -5,7 +5,8 @@ so equality and hashing are O(1) and sets of formulas deduplicate
 structurally. And/Or order their two children canonically so that `a & b`
 and `b & a` build the same node. `Tail` is a reserved atom marking the last
 position of a trace; user formulas may not mention it unless they are fed
-through the raw-TNF entry points.
+through the raw-TNF entry points. Because nodes are interned, the normal
+forms (`to_nnf`, `to_tnf`) are cached per node for the life of the process.
 """
 
 from __future__ import annotations
@@ -158,37 +159,37 @@ def is_literal(f):
     return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.operand, Atom))
 
 
-def is_nnf(f):
-    """True when negation occurs only directly above atoms."""
+def _negations_on_atoms(f, weak_next):
+    """True when negation occurs only directly above atoms, and weak-next
+    not at all unless allowed."""
     stack = [f]
+    seen = set()  # uids: shared subterms are checked once
     while stack:
         g = stack.pop()
+        if g.uid in seen:
+            continue
+        seen.add(g.uid)
         if isinstance(g, Not):
             if not isinstance(g.operand, Atom):
                 return False
         elif isinstance(g, _BINARY):
             stack.append(g.left)
             stack.append(g.right)
-        elif isinstance(g, (Next, WeakNext)):
+        elif isinstance(g, Next) or (weak_next and isinstance(g, WeakNext)):
             stack.append(g.operand)
+        elif isinstance(g, WeakNext):
+            return False
     return True
+
+
+def is_nnf(f):
+    """True when negation occurs only directly above atoms."""
+    return _negations_on_atoms(f, weak_next=True)
 
 
 def is_tnf(f):
     """True when f is in negation normal form and free of weak-next."""
-    if not is_nnf(f):
-        return False
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, WeakNext):
-            return False
-        if isinstance(g, _BINARY):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, (Not, Next)):
-            stack.append(g.operand)
-    return True
+    return _negations_on_atoms(f, weak_next=False)
 
 
 def atoms(f):
@@ -253,10 +254,18 @@ def render(f):
     return f"({render(f.left)}) {op} ({render(f.right)})"
 
 
+# Normal forms of every node normalised so far in this process, keyed by
+# the interned node. A hit is the node a recomputation would find in
+# `_INTERN`, so the caches create no nodes and move no uids.
+_NNF_POS = {}  # node -> its negation normal form
+_NNF_NEG = {}  # node -> the negation normal form of its negation
+_TNF_CACHE = {}  # NNF node -> its tail-marked form, without the Tail obligation
+
+
 def to_nnf(f):
     """Equivalent formula with negation pushed down to the atoms."""
-    pos_memo = {}
-    neg_memo = {}
+    pos_memo = _NNF_POS
+    neg_memo = _NNF_NEG
 
     def pos(g):
         got = pos_memo.get(g)
@@ -315,6 +324,40 @@ class ReservedAtomError(ValueError):
     """Raised when a user formula mentions the reserved Tail atom."""
 
 
+def _check_tnf_input(f):
+    """Raise unless f is in NNF and free of the Tail atom.
+
+    Visits each node once, and skips nodes `to_tnf` has translated before:
+    those passed this check then. A negation above a non-atom is reported
+    before Tail, wherever each occurs.
+    """
+    done = _TNF_CACHE
+    stack = [f]
+    seen = set()
+    has_tail = False
+    while stack:
+        g = stack.pop()
+        if g.uid in seen or g in done:
+            continue
+        seen.add(g.uid)
+        if isinstance(g, Not):
+            if not isinstance(g.operand, Atom):
+                raise ValueError("to_tnf expects an NNF formula; apply to_nnf first")
+            has_tail = has_tail or g.operand.name == TAIL
+        elif isinstance(g, Atom):
+            has_tail = has_tail or g.name == TAIL
+        elif isinstance(g, _BINARY):
+            stack.append(g.left)
+            stack.append(g.right)
+        elif isinstance(g, _UNARY):
+            stack.append(g.operand)
+    if has_tail:
+        raise ReservedAtomError(
+            f"the atom {TAIL!r} is reserved; use the raw-TNF entry point for"
+            " formulas that mention it"
+        )
+
+
 def to_tnf(f):
     """Rewrite an NNF formula into its weak-next-free tail-marked form.
 
@@ -322,16 +365,10 @@ def to_tnf(f):
     holds; Tail marks the last position of a satisfying trace.
     Satisfiability is preserved.
     """
-    if not is_nnf(f):
-        raise ValueError("to_tnf expects an NNF formula; apply to_nnf first")
-    if TAIL in atoms(f):
-        raise ReservedAtomError(
-            f"the atom {TAIL!r} is reserved; use the raw-TNF entry point for"
-            " formulas that mention it"
-        )
+    _check_tnf_input(f)
     tail = Atom(TAIL)
     not_tail = Not(tail)
-    memo = {}
+    memo = _TNF_CACHE
 
     def t(g):
         got = memo.get(g)

@@ -115,6 +115,46 @@ class SatSolver:
             return
         self._attach(simp)
 
+    def add_definition(self, d, left, right, is_and):
+        """Define a fresh variable d as the conjunction (or the disjunction)
+        of two literals over older variables, by the three Tseitin clauses,
+        as three `add_clause` calls would.
+
+        Between solves, with the three variables distinct and unassigned,
+        no clause is a tautology, satisfied or shortened, so the clauses
+        are attached directly; in every other case they go through
+        `add_clause`.
+        """
+        vals = self.vals
+        x = abs(left)
+        y = abs(right)
+        if (self.trail_lim or self.root_unsat or not 0 < x < d or not 0 < y < d
+                or x == y or d > self.nvars or vals[d] is not None
+                or vals[left] is not None or vals[right] is not None):
+            if is_and:
+                self.add_clause([-d, left])
+                self.add_clause([-d, right])
+                self.add_clause([d, -left, -right])
+            else:
+                self.add_clause([-d, left, right])
+                self.add_clause([d, -left])
+                self.add_clause([d, -right])
+            return
+        if is_and:
+            first = [-d, left]
+            second = [-d, right]
+            third = [d, -left, -right]
+        else:
+            first = [-d, left, right]
+            second = [d, -left]
+            third = [d, -right]
+        self.clauses += (tuple(first), tuple(second), tuple(third))
+        self._attached += (first, second, third)
+        watches = self.watches
+        for c in (first, second, third):
+            watches.setdefault(c[0], []).append(c)
+            watches.setdefault(c[1], []).append(c)
+
     def release(self, act):
         """Retire an activation literal for good: assert -act at the root.
 

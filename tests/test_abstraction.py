@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltlfsat.abstraction import (
     Assignment,
@@ -12,9 +13,11 @@ from ltlfsat.abstraction import (
 )
 from ltlfsat.bench import gen_random
 from ltlfsat.formula import (
+    FALSE,
     TAIL,
     TRUE,
     And,
+    FalseConst,
     Atom,
     FiniteTrace,
     Next,
@@ -23,12 +26,15 @@ from ltlfsat.formula import (
     Release,
     Until,
     WeakNext,
+    TrueConst,
     atoms,
+    closure,
     conjuncts,
     parse,
     to_nnf,
     to_tnf,
 )
+from ltlfsat.satengine import SatSolver
 from ltlfsat.semantics import evaluate
 
 a, b, c, d, p = Atom("a"), Atom("b"), Atom("c"), Atom("d"), Atom("p")
@@ -266,3 +272,134 @@ def test_cnf_dump_writes_standard_clause_files(tmp_path):
     body = [l for l in text.splitlines() if not l.startswith(("c", "p"))]
     assert len(body) == nclauses
     assert all(l.endswith(" 0") for l in body)
+
+
+class _RecursiveEncoder:
+    """Reference for `Encoder.member`: the recursive Tseitin encoding it
+    replaces, one call per node, operands first, each clause through
+    `add_clause`."""
+
+    def __init__(self):
+        self.solver = SatSolver()
+        self.atom_vars = {}
+        self.def_vars = {}
+        self.members = {}
+        self.true = self.solver.new_var()
+        self.solver.add_clause([self.true])
+        tail_var = self.atom_var(tail)
+        final = self.solver.new_var()
+        self.solver.add_clause([-final, tail_var])
+
+    def atom_var(self, pa):
+        v = self.atom_vars.get(pa)
+        if v is None:
+            v = self.solver.new_var()
+            self.atom_vars[pa] = v
+        return v
+
+    def lit(self, g):
+        if isinstance(g, TrueConst):
+            return self.true
+        if isinstance(g, FalseConst):
+            return -self.true
+        if isinstance(g, (Atom, Next)):
+            return self.atom_var(g)
+        if isinstance(g, Not):
+            return -self.atom_var(g.operand)
+        d = self.def_vars.get(g)
+        if d is None:
+            left = self.lit(g.left)
+            right = self.lit(g.right)
+            d = self.solver.new_var()
+            self.def_vars[g] = d
+            if isinstance(g, And):
+                self.solver.add_clause([-d, left])
+                self.solver.add_clause([-d, right])
+                self.solver.add_clause([d, -left, -right])
+            else:
+                self.solver.add_clause([-d, left, right])
+                self.solver.add_clause([d, -left])
+                self.solver.add_clause([d, -right])
+        return d
+
+    def member(self, psi):
+        entry = self.members.get(psi)
+        if entry is None:
+            expanded = xnf(psi)
+            lit = self.lit(expanded)
+            p = self.solver.new_var()
+            self.solver.add_clause([-p, lit])
+            entry = (p, *expanded_atoms(expanded))
+            self.members[psi] = entry
+        return entry
+
+
+def _replay(steps):
+    """Feed the same steps to an encoder and to the reference, comparing
+    the clause databases, variable counts and member entries after each.
+
+    A step is a member to encode, or a pair (atom, value) that fixes the
+    atom at the root first.
+    """
+    enc, ref = Encoder(), _RecursiveEncoder()
+    for step in steps:
+        if isinstance(step, tuple):
+            atom, value = step
+            for e in (enc, ref):
+                v = e.atom_var(atom)
+                e.solver.add_clause([v if value else -v])
+        else:
+            assert enc.member(step) == ref.member(step)
+        assert enc.solver.nvars == ref.solver.nvars
+        assert enc.solver.clauses == ref.solver.clauses
+        assert enc.solver._attached == ref.solver._attached
+        assert enc.solver.trail == ref.solver.trail
+        assert enc.solver.root_unsat == ref.solver.root_unsat
+
+
+_EXTRA_MEMBERS = (
+    And(TRUE, a),
+    Or(FALSE, Next(b)),
+    Or(TRUE, Not(b)),
+    And(a, a),
+    And(a, Not(a)),
+    Or(Not(b), b),
+    parse("G (a -> F b)"),
+    parse("(a & b) U (a & ! b)"),
+)
+
+
+def test_member_matches_the_recursive_encoding_on_fixed_cases():
+    shared = Until(And(Not(tail), And(a, b)), Or(a, c))
+    _replay([
+        And(TRUE, a),
+        Or(FALSE, Next(b)),
+        And(a, a),
+        And(a, Not(a)),
+        shared,
+        Release(Or(tail, And(a, b)), Or(a, c)),  # shares And(a, b) and Or(a, c)
+        (c, True),
+        And(c, d),  # an operand fixed true at the root
+        (d, False),
+        Or(d, Next(shared)),  # an operand fixed false at the root
+        (c, False),  # root conflict: every later clause goes through add_clause
+        Or(And(c, b), And(d, a)),
+    ])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 5000),
+    picks=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([None, True, False])),
+                   max_size=12),
+)
+def test_member_matches_the_recursive_encoding(seed, picks):
+    f = to_tnf(to_nnf(gen_random(2, 8, 0.5, seed)))
+    pool = sorted(closure(f) | set(_EXTRA_MEMBERS), key=lambda g: g.uid)
+    pool_atoms = sorted((g for g in pool if isinstance(g, Atom)), key=lambda g: g.uid)
+    steps = []
+    for k, fix in picks:
+        if fix is not None:
+            steps.append((pool_atoms[k % len(pool_atoms)], fix))
+        steps.append(pool[k % len(pool)])
+    _replay(steps)

@@ -1,3 +1,4 @@
+import signal
 import time
 from collections import deque
 from unittest import mock
@@ -17,7 +18,7 @@ from ltlfsat.cdlsc import (
     solve,
 )
 from ltlfsat.errors import FrameLimitExceeded, SatCallLimitExceeded, TimeoutExceeded
-from ltlfsat.abstraction import Assignment, Encoder
+from ltlfsat.abstraction import Assignment, Encoder, propositional_atoms
 from ltlfsat.formula import (
     TAIL,
     Atom,
@@ -27,6 +28,8 @@ from ltlfsat.formula import (
     Release,
     Until,
     closure,
+    is_nnf,
+    is_tnf,
     parse,
     to_nnf,
     to_tnf,
@@ -484,3 +487,34 @@ def test_deep_instances_keep_their_verdicts_and_frames(name):
     assert (verdict.sat, verdict.stats.frames, verdict.invariant_level) == (sat, frames, level)
     if not sat:
         assert inv_found(verdict.frames) <= level
+
+
+class _Hang(Exception):
+    pass
+
+
+def _hang(signum, frame):
+    raise _Hang("no answer within the alarm")
+
+
+def test_long_equivalence_chains_are_walked_once_per_node():
+    """`a0 <-> a1 <-> ... <-> a59` repeats each right operand twice, once
+    negated, so its tree has about 2^60 nodes while its DAG is linear. Every
+    walk of the pipeline must visit each node once; a tree walk hangs here
+    and the alarm turns that into a failure."""
+    names = [f"a{i}" for i in range(60)]
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(30)
+    try:
+        f = parse(" <-> ".join(names))
+        nnf = to_nnf(f)
+        assert is_nnf(nnf)
+        assert propositional_atoms(nnf) == frozenset(Atom(n) for n in names)
+        tnf = to_tnf(nnf)
+        assert is_tnf(tnf)
+        assert check(f).sat
+        assert check(tnf, raw_tnf=True).sat
+        assert naive_check(tnf).sat
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

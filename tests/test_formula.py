@@ -3,12 +3,14 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ltlfsat.formula as formula
 from ltlfsat.formula import (
     FALSE,
     TAIL,
     TRUE,
     And,
     Atom,
+    FalseConst,
     FiniteTrace,
     Next,
     Not,
@@ -16,6 +18,7 @@ from ltlfsat.formula import (
     ParseError,
     Release,
     ReservedAtomError,
+    TrueConst,
     Until,
     WeakNext,
     atoms,
@@ -253,6 +256,115 @@ def test_tnf_trace_correspondence(f):
             trace.alphabet | {TAIL},
         )
         assert evaluate(trace, g) == evaluate(marked, t)
+
+
+def _nodes_made():
+    """The next uid and the number of interned nodes; reading the uid
+    counter's repr does not advance it."""
+    return repr(formula._UID), len(formula._INTERN)
+
+
+def _nnf_reference(g, positive=True):
+    """Negation normal form by plain recursion, with no memo."""
+    if isinstance(g, Not):
+        return _nnf_reference(g.operand, not positive)
+    if isinstance(g, (TrueConst, FalseConst)):
+        return g if positive else (FALSE if g is TRUE else TRUE)
+    if isinstance(g, Atom):
+        return g if positive else Not(g)
+    dual = {And: Or, Or: And, Next: WeakNext, WeakNext: Next, Until: Release, Release: Until}
+    kind = type(g) if positive else dual[type(g)]
+    if isinstance(g, (Next, WeakNext)):
+        return kind(_nnf_reference(g.operand, positive))
+    return kind(_nnf_reference(g.left, positive), _nnf_reference(g.right, positive))
+
+
+def _tnf_reference(g):
+    """The tail-marked body of an NNF formula by plain recursion."""
+    tail = Atom(TAIL)
+    if isinstance(g, (TrueConst, FalseConst, Atom, Not)):
+        return g
+    if isinstance(g, Next):
+        return And(Not(tail), Next(_tnf_reference(g.operand)))
+    if isinstance(g, WeakNext):
+        return Or(tail, Next(_tnf_reference(g.operand)))
+    left, right = _tnf_reference(g.left), _tnf_reference(g.right)
+    if isinstance(g, Until):
+        return Until(And(Not(tail), left), right)
+    if isinstance(g, Release):
+        return Release(Or(tail, left), right)
+    return type(g)(left, right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas(10, names=st.sampled_from(["a", "b", "c"])))
+def test_cached_normal_forms_equal_a_fresh_computation(f):
+    g = to_nnf(f)
+    assert g is _nnf_reference(f)
+    assert to_nnf(Not(f)) is _nnf_reference(f, positive=False)
+    assert to_tnf(g) is And(_tnf_reference(g), Until(TRUE, Atom(TAIL)))
+
+
+def test_repeated_and_overlapping_normalisation_creates_no_nodes():
+    f = parse("!(a U (X b & !c)) & G (a -> F ! X b) & (c R ! (b | X a))")
+    parts = conjuncts(f)
+    negated = [Not(part) for part in parts]
+    nnf = to_nnf(f)
+    tnf = to_tnf(nnf)
+    negated_nnf = [to_nnf(g) for g in negated]
+    before = _nodes_made()
+    assert to_nnf(f) is nnf
+    assert to_tnf(nnf) is tnf
+    assert to_nnf(parts[0]) in closure(nnf)
+    assert [to_nnf(g) for g in negated] == negated_nnf
+    for part in parts:
+        to_nnf(part)
+    assert _nodes_made() == before
+    # an overlapping to_tnf makes at most its own top node: the conjunction
+    # with the Tail obligation
+    body = tnf.left if tnf.right is Until(TRUE, Atom(TAIL)) else tnf.right
+    part = to_tnf(to_nnf(parts[-1]))
+    assert part.left in closure(body) or part.right in closure(body)
+    after = _nodes_made()
+    assert after[1] - before[1] <= 1
+    assert to_tnf(to_nnf(parts[-1])) is part
+    assert _nodes_made() == after
+
+
+def test_tail_beside_a_translated_part_is_still_rejected():
+    g = to_nnf(parse("a U X b"))
+    to_tnf(g)
+    for beside in (Atom(TAIL), Not(Atom(TAIL)), Next(Until(g, Atom(TAIL)))):
+        f = And(g, beside)
+        before = _nodes_made()
+        with pytest.raises(ReservedAtomError):
+            to_tnf(f)
+        assert _nodes_made() == before
+
+
+def test_nnf_error_wins_over_the_tail_error():
+    g = to_nnf(parse("a U X b"))
+    to_tnf(g)
+    for f in (
+        And(Atom(TAIL), Not(Next(Atom("a")))),
+        And(Not(Until(Atom("a"), Atom("b"))), Atom(TAIL)),
+        And(And(g, Atom(TAIL)), Not(Next(g))),
+        Until(Not(Next(g)), Next(Atom(TAIL))),
+        Release(Atom(TAIL), Not(Release(g, Atom("a")))),
+    ):
+        before = _nodes_made()
+        with pytest.raises(ValueError, match="NNF") as caught:
+            to_tnf(f)
+        assert not isinstance(caught.value, ReservedAtomError)
+        assert _nodes_made() == before
+
+
+def test_rejected_input_creates_no_node():
+    f = Not(Next(Atom("only_in_this_rejected_input")))
+    before = _nodes_made()
+    with pytest.raises(ValueError):
+        to_tnf(f)
+    assert _nodes_made() == before
 
 
 def test_closure_examples():

@@ -327,3 +327,43 @@ def test_rescales_keep_the_heap_consistent():
     with _LOW_RESCALE:
         assert not s.solve().sat
     assert s.rescales > 1
+
+
+@pytest.mark.parametrize("is_and", [True, False])
+@pytest.mark.parametrize("root", [(), (1,), (-1,), (2,), (-2,), (3,), (1, -1)])
+@pytest.mark.parametrize("operands", [(1, 2), (-1, 2), (1, -2), (1, 1), (1, -1), (3, 1)])
+def test_definitions_equal_their_three_clauses(is_and, root, operands):
+    """`add_definition` leaves the solver as three `add_clause` calls do,
+    on its direct path (fresh operands) and on every fallback: an operand
+    or the defined variable fixed at the root, shared operand variables,
+    the defined variable among the operands, and a root conflict."""
+    left, right = operands
+    solvers = []
+    for direct in (True, False):
+        s, _ = _fresh(4)
+        for lit in root:
+            s.add_clause([lit])
+        d = 3
+        if direct:
+            s.add_definition(d, left, right, is_and)
+        elif is_and:
+            for c in ([-d, left], [-d, right], [d, -left, -right]):
+                s.add_clause(c)
+        else:
+            for c in ([-d, left, right], [d, -left], [d, -right]):
+                s.add_clause(c)
+        solvers.append(s)
+    got, want = solvers
+    assert got.clauses == want.clauses
+    assert got._attached == want._attached
+    assert got.trail == want.trail
+    assert got.root_unsat == want.root_unsat
+    assert got.solve().sat == want.solve().sat
+
+
+def test_definitions_reject_unknown_literals():
+    s, _ = _fresh(2)
+    with pytest.raises(ValueError):
+        s.add_definition(2, 1, 3, True)
+    with pytest.raises(ValueError):
+        s.add_definition(3, 1, 2, False)
