@@ -273,7 +273,7 @@ class Encoder:
                 elif kind is Not:
                     table[uid] = -self.atom_var(g.operand)
                 else:
-                    table[uid] = solver.new_var()
+                    self.atom_var(g)
             p = solver.new_var()
             solver.add_clause([-p, table[steps[-1].uid]])
             entry = (p, lits, nexts)
