@@ -8,18 +8,21 @@ distinguished empty-obligation state {true}, which is final by construction.
 
 A state with at most TABLE_ATOMS relevant atoms (literal atoms, next-atoms
 and Tail) is decided by `table_step`, one truth table over every valuation
-of those atoms, with no solver. A larger state goes to the system's
-`Encoder`, created when the first such state is met: `successors(encoder,
-state)` enumerates its distinct successors, and `encoder.query(state,
-final=True)` tests whether it can end the trace.
+of those atoms, with no solver: each atom's column is an int with one bit
+per row, and the members' expanded forms are evaluated bitwise over it. A
+larger state goes to the system's `Encoder`, created when the first such
+state is met: `successors(encoder, state)` enumerates its distinct
+successors, and `encoder.query(state, final=True)` tests whether it can end
+the trace.
+
+A system keeps the edges out of a table-decided state as rows, and decodes
+a row into its `Assignment` label only when the label is read.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .abstraction import Assignment, Encoder, QueryOutcome, expanded_atoms, xnf
 from .errors import Deadline, StateLimitExceeded, TimeoutExceeded
@@ -41,9 +44,11 @@ from .formula import (
 
 DEFAULT_STATE_LIMIT = 1 << 20
 
-# A table has 2**k rows for k relevant atoms; the oracle suites' states have
-# at most 11, while the conjunction suites' initial states have 21 to 35 and
-# many successors each, which SAT enumeration finds faster.
+# A table has 2**k rows for k relevant atoms, so each bitwise operation on its
+# columns and each group of rows split off by a next-atom costs 2**k bits:
+# time and memory double with every atom, while SAT enumeration grows with
+# the successors found. The oracle suites' states have at most 11 relevant
+# atoms; the conjunction suites' initial states have 21 to 35.
 TABLE_ATOMS = 14
 
 TRUE_STATE = frozenset({TRUE})
@@ -81,20 +86,28 @@ def successors(encoder, state):
         encoder.block_next_projection(act, next_atoms, out.assignment.next_bodies)
 
 
-def table_step(state, cache):
-    """Final test and successors of a small state from its truth table.
+def _column_masks(k):
+    """Columns of a k-atom truth table as ints of 2**k bits: bit r of the
+    j-th int is bit j of row r, so each column alternates runs of 2**j clear
+    and 2**j set bits."""
+    full = (1 << (1 << k)) - 1
+    masks = []
+    for j in range(k):
+        run = 1 << j
+        period = ((1 << run) - 1) << run
+        masks.append(period * (full // ((1 << 2 * run) - 1)))
+    return tuple(masks)
 
-    Rows run over every valuation of the state's relevant atoms, Tail
-    included; the atom at position j in uid order is bit j of the row index.
-    The successors are the distinct next-atom projections of the satisfying
-    rows, in the order of their first rows, each labelled by that first row;
-    the final assignment is the first satisfying row with Tail true. Labels
-    and final assignments carry the same atoms as `Encoder.query`'s.
 
-    Returns (final outcome, [(label, target), ...]), or None when the state
-    has more than TABLE_ATOMS relevant atoms; a final outcome that is unsat
-    carries the whole state as its core. `cache` maps members to their
-    relevant atoms and is owned by the caller.
+_COLUMNS = tuple(_column_masks(k) for k in range(TABLE_ATOMS + 1))
+
+
+def _table(state, cache):
+    """`table_step` with each successor's label left as its row.
+
+    Returns (final outcome, [(row, target), ...], (literal bits, next
+    bits)), where the bit lists give what `_label` needs to decode a row, or
+    None when the state has more than TABLE_ATOMS relevant atoms.
     """
     members = sorted(state, key=_uid)
     tail = Atom(TAIL)
@@ -108,69 +121,139 @@ def table_step(state, cache):
     columns = sorted(lits | nexts | {tail}, key=_uid)
     if len(columns) > TABLE_ATOMS:
         return None
-    rows = np.arange(1 << len(columns))
-    bit = {a.uid: 1 << j for j, a in enumerate(columns)}
+    full = (1 << (1 << len(columns))) - 1
+    column = {a.uid: mask for a, mask in zip(columns, _COLUMNS[len(columns)])}
     memo = {}  # by uid: the hash of a formula node is a Python-level call
 
     def ev(g):
         got = memo.get(g.uid)
         if got is None:
-            if isinstance(g, (Atom, Next)):
-                got = (rows & bit[g.uid]) != 0
-            elif isinstance(g, Not):
-                got = ~ev(g.operand)
-            elif isinstance(g, And):
+            kind = type(g)
+            if kind is Atom or kind is Next:
+                got = column[g.uid]
+            elif kind is Not:
+                got = ev(g.operand) ^ full
+            elif kind is And:
                 got = ev(g.left) & ev(g.right)
-            elif isinstance(g, Or):
+            elif kind is Or:
                 got = ev(g.left) | ev(g.right)
             else:
-                got = np.full(rows.size, isinstance(g, TrueConst))
+                got = full if kind is TrueConst else 0
             memo[g.uid] = got
         return got
 
-    sat = np.ones(rows.size, dtype=bool)
+    sat = full
     for psi in members:
         sat &= ev(xnf(psi))
-    hits = rows[sat]
 
-    lit_bits = [(a.name, bit[a.uid]) for a in lits]
+    bit = {a.uid: 1 << j for j, a in enumerate(columns)}
+    literal_bits = [(a.name, bit[a.uid]) for a in lits]
     next_bits = [(n.operand, bit[n.uid]) for n in nexts]
-
-    def assignment(row, names):
-        return Assignment(
-            frozenset((name, bool(row & b)) for name, b in names),
-            frozenset(body for body, b in next_bits if row & b),
-        )
-
-    tail_bit = bit[tail.uid]
-    tail_hits = hits[(hits & tail_bit) != 0]
-    if tail_hits.size:
-        row = int(tail_hits[0])
-        final = QueryOutcome(assignment(row, lit_bits + [(TAIL, tail_bit)]), None)
+    tail_rows = sat & column[tail.uid]
+    if tail_rows:
+        row = _lowest(tail_rows)
+        final = QueryOutcome(
+            _label(row, (literal_bits + [(TAIL, bit[tail.uid])], next_bits)), None)
     else:
         final = QueryOutcome(None, frozenset(state))
-    _, first = np.unique(hits & sum(b for _, b in next_bits), return_index=True)
+    # one group of satisfying rows per distinct next-atom projection
+    groups = [sat] if sat else []
+    for a in columns:
+        if type(a) is Next:
+            mask = column[a.uid]
+            split = []
+            for rows in groups:
+                on = rows & mask
+                if on:
+                    split.append(on)
+                if on != rows:
+                    split.append(rows ^ on)
+            groups = split
     steps = []
-    for row in hits[np.sort(first)].tolist():
-        label = assignment(row, lit_bits)
-        steps.append((label, successor_state(label.next_bodies)))
-    return final, steps
+    for row in sorted(map(_lowest, groups)):
+        bodies = frozenset(body for body, b in next_bits if row & b)
+        steps.append((row, successor_state(bodies)))
+    return final, steps, (literal_bits, next_bits)
+
+
+def _lowest(rows):
+    """Index of the lowest set bit: the first row of a set of rows."""
+    return (rows & -rows).bit_length() - 1
+
+
+def _label(row, bits):
+    """The `Assignment` of a truth-table row: literals and next-atom bodies
+    read from the row's bits."""
+    literal_bits, next_bits = bits
+    return Assignment(
+        frozenset((name, bool(row & b)) for name, b in literal_bits),
+        frozenset(body for body, b in next_bits if row & b),
+    )
+
+
+def table_step(state, cache):
+    """Final test and successors of a small state from its truth table.
+
+    Rows run over every valuation of the state's relevant atoms, Tail
+    included; the atom at position j in uid order is bit j of the row index.
+    Each atom's column is one int with a bit per row, so the members'
+    expanded forms are evaluated for all rows at once with `&`, `|` and `^`.
+    The successors are the distinct next-atom projections of the satisfying
+    rows, in the order of their first rows, each labelled by that first row;
+    the final assignment is the first satisfying row with Tail true. Labels
+    and final assignments carry the same atoms as `Encoder.query`'s.
+
+    Returns (final outcome, [(label, target), ...]), or None when the state
+    has more than TABLE_ATOMS relevant atoms; a final outcome that is unsat
+    carries the whole state as its core. `cache` maps members to their
+    relevant atoms and is owned by the caller.
+    """
+    table = _table(state, cache)
+    if table is None:
+        return None
+    final, steps, bits = table
+    return final, [(_label(row, bits), target) for row, target in steps]
 
 
 @dataclass
 class TransitionSystem:
+    """A state graph. A table-decided state keeps the rows of its outgoing
+    edges, with the bits to decode them in `row_bits`; `edges`, `preds` and
+    `label` decode them into `Assignment`s when read."""
+
     states: list
-    edges: list
+    steps: list  # (source, label or table row, target) per edge
     final: dict
     depth: list  # breadth-first discovery depth of each state
     sat_calls: int = 0
-    preds: dict = field(default_factory=dict)
+    parents: dict = field(default_factory=dict)  # state: (source, label or row)
     live_clauses: int = 0  # the encoder's clause database size at the end
-    table_states: int = 0  # states decided by `table_step`
+    row_bits: dict = field(default_factory=dict)  # table-decided state: bits of its rows
 
     @property
     def state_count(self):
         return len(self.states)
+
+    @property
+    def table_states(self):
+        """States decided by `table_step`."""
+        return len(self.row_bits)
+
+    def label(self, source, label):
+        """The `Assignment` of an edge out of `source` as kept in `steps`."""
+        bits = self.row_bits.get(source)
+        return label if bits is None else _label(label, bits)
+
+    @property
+    def edges(self):
+        """(source, label, target) per edge, decoded on each read."""
+        return [(i, self.label(i, label), j) for i, label, j in self.steps]
+
+    @property
+    def preds(self):
+        """Discovery edge of every state but the initial one, as
+        (source, label), decoded on each read."""
+        return {j: (i, self.label(i, label)) for j, (i, label) in self.parents.items()}
 
 
 def _explore(f, *, state_limit, stop_on_final, timeout):
@@ -187,15 +270,14 @@ def _explore(f, *, state_limit, stop_on_final, timeout):
     final = {}
     preds = {}
     tabled = {}  # successors of table-decided states not yet expanded
-    table_states = 0
+    row_bits = {}
 
     def decide(j):
         """Final test of a fresh state; a table also gives its successors."""
-        nonlocal encoder, table_states
-        table = table_step(states[j], cache)
+        nonlocal encoder
+        table = _table(states[j], cache)
         if table is not None:
-            final[j], tabled[j] = table
-            table_states += 1
+            final[j], tabled[j], row_bits[j] = table
             return
         if encoder is None:
             encoder = Encoder()
@@ -206,7 +288,7 @@ def _explore(f, *, state_limit, stop_on_final, timeout):
         if encoder is not None:
             sat_calls, live = encoder.sat_calls, len(encoder.solver.clauses)
         return TransitionSystem(states, edges, final, depth, sat_calls, preds, live,
-                                table_states)
+                                row_bits)
 
     decide(0)
     found = 0 if final[0].sat else None
@@ -301,8 +383,8 @@ def naive_check(f, *, state_limit=DEFAULT_STATE_LIMIT, timeout=None):
     labels = []
     i = found
     while i != 0:
-        parent, label = ts.preds[i]
-        labels.append(label)
+        parent, label = ts.parents[i]
+        labels.append(ts.label(parent, label))
         i = parent
     labels.reverse()
     with_tail = assemble_trace(labels, ts.final[found].assignment, atoms(f))

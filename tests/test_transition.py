@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ltlfsat.abstraction import Encoder, enumerate_assignments, xnf
+import ltlfsat
+from ltlfsat.abstraction import Assignment, Encoder, enumerate_assignments, expanded_atoms, xnf
 from ltlfsat.bench import gen_random
 from ltlfsat.errors import StateLimitExceeded, TimeoutExceeded
 from ltlfsat.formula import (
@@ -345,3 +350,120 @@ def test_export_dot_contains_states_and_edges():
     assert text.startswith("digraph")
     assert "doublecircle" in text
     assert "->" in text
+
+
+def _reference_table(state):
+    """Per-row reference for `table_step`: scan the rows in ascending order,
+    keeping the first satisfying row of each next-atom projection and the
+    first satisfying row with Tail set. Columns are the relevant atoms in
+    uid order, the atom at position j being bit j of the row index."""
+    expanded = [xnf(psi) for psi in sorted(state, key=lambda g: g.uid)]
+    lits, nexts = set(), set()
+    for g in expanded:
+        got = expanded_atoms(g)
+        lits |= got[0]
+        nexts |= got[1]
+    columns = sorted(lits | nexts | {tail}, key=lambda g: g.uid)
+    final, steps, seen = None, [], set()
+    for row in range(1 << len(columns)):
+        value = {g: bool(row >> j & 1) for j, g in enumerate(columns)}
+        names = {g.name: value[g] for g in lits | {tail}}
+        bodies = frozenset(n.operand for n in nexts if value[n])
+        if not all(_holds(g, names, bodies) for g in expanded):
+            continue
+        literals = frozenset((g.name, value[g]) for g in lits)
+        if final is None and value[tail]:
+            final = Assignment(literals | {(TAIL, True)}, bodies)
+        if bodies not in seen:
+            seen.add(bodies)
+            steps.append((Assignment(literals, bodies), successor_state(bodies)))
+    return final, steps
+
+
+def _assert_table_matches_reference(state, reference):
+    table = table_step(state, {})
+    assert table is not None
+    final, steps = table
+    ref_final, ref_steps = reference
+    assert final.assignment == ref_final
+    if ref_final is None:
+        assert final.core == state
+    assert [target for _, target in steps] == [target for _, target in ref_steps]
+    for (label, _), (ref, _) in zip(steps, ref_steps):
+        assert type(label) is Assignment
+        assert label.literals == ref.literals and label.next_bodies == ref.next_bodies
+
+
+@pytest.fixture(scope="module")
+def anchor_reference():
+    """ANCHOR's exhaustive system and the reference table of each state."""
+    ts = build_full_system(ANCHOR, exhaustive=True)
+    return ts, [_reference_table(state) for state in ts.states]
+
+
+def test_table_matches_row_reference_on_anchor(anchor_reference):
+    ts, reference = anchor_reference
+    for state, ref in zip(ts.states, reference):
+        _assert_table_matches_reference(state, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_temporal_formulas(8), min_size=1, max_size=3))
+def test_table_matches_row_reference_on_drawn_states(parts):
+    state = frozenset().union(*(state_of(to_tnf(to_nnf(g))) for g in parts))
+    assume(table_step(state, {}) is not None)
+    _assert_table_matches_reference(state, _reference_table(state))
+
+
+def test_system_labels_are_reference_assignments(anchor_reference):
+    """Edge labels of table-decided states are kept as rows and decoded when
+    `edges` or `preds` is read; each reader gets the reference's label."""
+    ts, reference = anchor_reference
+    assert ts.table_states == ts.state_count
+    steps = {i: ref[1] for i, ref in enumerate(reference)}
+    out = {}
+    for i, label, j in ts.edges:
+        out.setdefault(i, []).append((label, ts.states[j]))
+    assert out == steps
+    for i, got in out.items():
+        for (label, _), (ref, _) in zip(got, steps[i]):
+            assert type(label) is Assignment and hash(label) == hash(ref)
+    assert set(ts.preds) == set(range(1, ts.state_count))
+    for j, (i, label) in ts.preds.items():
+        ref = next(ref for ref, target in steps[i] if target == ts.states[j])
+        assert type(label) is Assignment and label == ref and hash(label) == hash(ref)
+
+
+# `ltlfsat dump-ts --formula "a U (b & X ! a)"` as printed before edge labels
+# were decoded on read. Which row labels an edge follows the uid order of the
+# atoms, so the command runs in a fresh interpreter.
+DUMP_TS_GOLDEN = """\
+digraph transition_system {
+  rankdir=LR;
+  s0 [shape=circle label="s0: ((a) & (! (Tail))) U ((b) & ((X (! (a))) & (! (Tail)))), (true) U (Tail)"];
+  s1 [shape=doublecircle label="s1: ! (a), (true) U (Tail)"];
+  s2 [shape=circle label="s2: ! (a), ((a) & (! (Tail))) U ((b) & ((X (! (a))) & (! (Tail)))), (true) U (Tail)"];
+  s3 [shape=doublecircle label="s3: true"];
+  s4 [shape=doublecircle label="s4: (true) U (Tail)"];
+  s0 -> s1 [label="!Tail !a b"];
+  s0 -> s0 [label="!Tail a !b"];
+  s0 -> s2 [label="!Tail a !b"];
+  s1 -> s3 [label="Tail !a"];
+  s1 -> s4 [label="!Tail !a"];
+  s2 -> s1 [label="!Tail !a b"];
+  s2 -> s2 [label="!Tail !a b"];
+  s3 -> s3 [label=""];
+  s4 -> s3 [label="Tail"];
+  s4 -> s4 [label="!Tail"];
+}
+"""
+
+
+def test_export_dot_matches_golden():
+    src = str(Path(ltlfsat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-m", "ltlfsat.cli", "dump-ts", "--formula", "a U (b & X ! a)"],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    assert out.stdout == DUMP_TS_GOLDEN
