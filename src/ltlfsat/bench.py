@@ -13,7 +13,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .cdlsc import solve
@@ -303,6 +302,9 @@ def run_suite(spec, solver="cdlsc", limits=None, jobs=1):
     if jobs <= 1:
         report.rows = [_worker(p) for p in payloads]
     else:
+        # imported here: the pool machinery loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             report.rows = list(pool.map(_worker, payloads))
     return report

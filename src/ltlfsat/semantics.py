@@ -8,7 +8,7 @@ valuation order, so its witnesses are deterministic and shortest.
 
 from __future__ import annotations
 
-import numpy as np
+from functools import cache
 
 from .errors import Deadline
 from .formula import (
@@ -28,8 +28,24 @@ from .formula import (
 
 MAX_BRUTE_ATOMS = 4
 _CHUNK = 1 << 16
-# numpy bit arithmetic needs trace indices to fit a machine word
+# bounds the enumeration space: at most 2**62 trace indices per length
 _MAX_INDEX_BITS = 62
+
+
+# k is at most log2(_CHUNK) = 16 here and TABLE_ATOMS in transition, so the
+# cache holds a few hundred kilobytes at most
+@cache
+def column_masks(k):
+    """Columns of a k-bit truth table as ints of 2**k bits: bit r of the
+    j-th int is bit j of row r, so each column alternates runs of 2**j clear
+    and 2**j set bits."""
+    full = (1 << (1 << k)) - 1
+    masks = []
+    for j in range(k):
+        run = 1 << j
+        period = ((1 << run) - 1) << run
+        masks.append(period * (full // ((1 << 2 * run) - 1)))
+    return tuple(masks)
 
 
 def evaluate(trace, f):
@@ -101,64 +117,60 @@ def _decode_positions(names, length, index):
 
 
 def _eval_block(f, names, length, start, count):
-    """Vector of truth values of f over `count` consecutive trace indices."""
+    """Truth values of f over the trace indices start .. start + count - 1,
+    as one int whose bit r is the value at index start + r.
+
+    `count` is a power of two and `start` a multiple of it. Index bit b
+    below log2(count) runs through the rows as `column_masks` column b;
+    any higher bit is bit b of `start` throughout the block.
+    """
     m = len(names)
-    width = 1 << m
-    offsets = np.arange(count, dtype=np.int64)
-    atom_bits = {}
-
-    def bits(i, name):
-        key = (i, name)
-        got = atom_bits.get(key)
-        if got is None:
-            shift = (length - 1 - i) * m
-            j = names.index(name)
-            code = ((start + offsets) >> shift) & (width - 1)
-            got = ((code >> j) & 1).astype(bool)
-            atom_bits[key] = got
-        return got
-
-    memo = {}
+    full = (1 << count) - 1
+    low = count.bit_length() - 1
+    columns = column_masks(low)
+    memo = {}  # by (position, uid): an int hashes without a Python-level call
 
     def ev(i, g):
-        key = (i, g)
+        key = (i, g.uid)
         got = memo.get(key)
         if got is not None:
             return got
         if isinstance(g, TrueConst):
-            out = np.ones(count, dtype=bool)
+            out = full
         elif isinstance(g, FalseConst):
-            out = np.zeros(count, dtype=bool)
+            out = 0
         elif isinstance(g, Atom):
-            out = bits(i, g.name)
+            b = (length - 1 - i) * m + names.index(g.name)
+            if b < low:
+                out = columns[b]
+            else:
+                out = full if start >> b & 1 else 0
         elif isinstance(g, Not):
-            out = ~ev(i, g.operand)
+            out = ev(i, g.operand) ^ full
         elif isinstance(g, And):
             out = ev(i, g.left) & ev(i, g.right)
         elif isinstance(g, Or):
             out = ev(i, g.left) | ev(i, g.right)
         elif isinstance(g, Next):
-            out = ev(i + 1, g.operand) if i + 1 < length else np.zeros(count, dtype=bool)
+            out = ev(i + 1, g.operand) if i + 1 < length else 0
         elif isinstance(g, WeakNext):
-            out = ev(i + 1, g.operand) if i + 1 < length else np.ones(count, dtype=bool)
+            out = ev(i + 1, g.operand) if i + 1 < length else full
         elif isinstance(g, Until):
-            out = np.zeros(count, dtype=bool)
-            holds = np.ones(count, dtype=bool)
+            out = 0
+            holds = full
             for k in range(i, length):
                 out |= holds & ev(k, g.right)
                 holds &= ev(k, g.left)
-                if not holds.any():
+                if not holds:
                     break
-            out = out.copy()
         elif isinstance(g, Release):
-            out = np.ones(count, dtype=bool)
-            released = np.zeros(count, dtype=bool)
+            out = full
+            released = 0
             for k in range(i, length):
                 out &= released | ev(k, g.right)
                 released |= ev(k, g.left)
-                if released.all():
+                if released == full:
                     break
-            out = out.copy()
         else:
             raise TypeError(f"not a formula: {g!r}")
         memo[key] = out
@@ -196,10 +208,10 @@ def brute_force_sat(f, max_len, *, timeout=None):
             deadline.check()
             count = min(_CHUNK, total - start)
             sat = _eval_block(f, names, length, start, count)
-            hits = np.flatnonzero(sat)
-            if hits.size:
+            if sat:
+                first = (sat & -sat).bit_length() - 1
                 trace = FiniteTrace(
-                    _decode_positions(names, length, start + int(hits[0])), alphabet
+                    _decode_positions(names, length, start + first), alphabet
                 )
                 assert evaluate(trace, f), "enumerated witness failed re-evaluation"
                 return trace

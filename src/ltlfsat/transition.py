@@ -15,8 +15,9 @@ state is met: `successors(encoder, state)` enumerates its distinct
 successors, and `encoder.query(state, final=True)` tests whether it can end
 the trace.
 
-A system keeps the edges out of a table-decided state as rows, and decodes
-a row into its `Assignment` label only when the label is read.
+A system keeps the edges out of a table-decided state, and its final
+assignment, as rows, and decodes a row into its `Assignment` only when that
+is read.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .formula import (
     is_tnf,
     render,
 )
+from .semantics import column_masks
 
 DEFAULT_STATE_LIMIT = 1 << 20
 
@@ -86,28 +88,13 @@ def successors(encoder, state):
         encoder.block_next_projection(act, next_atoms, out.assignment.next_bodies)
 
 
-def _column_masks(k):
-    """Columns of a k-atom truth table as ints of 2**k bits: bit r of the
-    j-th int is bit j of row r, so each column alternates runs of 2**j clear
-    and 2**j set bits."""
-    full = (1 << (1 << k)) - 1
-    masks = []
-    for j in range(k):
-        run = 1 << j
-        period = ((1 << run) - 1) << run
-        masks.append(period * (full // ((1 << 2 * run) - 1)))
-    return tuple(masks)
-
-
-_COLUMNS = tuple(_column_masks(k) for k in range(TABLE_ATOMS + 1))
-
-
 def _table(state, cache):
     """`table_step` with each successor's label left as its row.
 
     Returns (final outcome, [(row, target), ...], (literal bits, next
     bits)), where the bit lists give what `_label` needs to decode a row, or
-    None when the state has more than TABLE_ATOMS relevant atoms.
+    None when the state has more than TABLE_ATOMS relevant atoms. A sat
+    final outcome is a `_FinalRow`.
     """
     members = sorted(state, key=_uid)
     tail = Atom(TAIL)
@@ -122,7 +109,7 @@ def _table(state, cache):
     if len(columns) > TABLE_ATOMS:
         return None
     full = (1 << (1 << len(columns))) - 1
-    column = {a.uid: mask for a, mask in zip(columns, _COLUMNS[len(columns)])}
+    column = {a.uid: mask for a, mask in zip(columns, column_masks(len(columns)))}
     memo = {}  # by uid: the hash of a formula node is a Python-level call
 
     def ev(g):
@@ -149,11 +136,10 @@ def _table(state, cache):
     bit = {a.uid: 1 << j for j, a in enumerate(columns)}
     literal_bits = [(a.name, bit[a.uid]) for a in lits]
     next_bits = [(n.operand, bit[n.uid]) for n in nexts]
+    bits = (literal_bits, next_bits)
     tail_rows = sat & column[tail.uid]
     if tail_rows:
-        row = _lowest(tail_rows)
-        final = QueryOutcome(
-            _label(row, (literal_bits + [(TAIL, bit[tail.uid])], next_bits)), None)
+        final = _FinalRow(_lowest(tail_rows), bits, bit[tail.uid])
     else:
         final = QueryOutcome(None, frozenset(state))
     # one group of satisfying rows per distinct next-atom projection
@@ -173,12 +159,29 @@ def _table(state, cache):
     for row in sorted(map(_lowest, groups)):
         bodies = frozenset(body for body, b in next_bits if row & b)
         steps.append((row, successor_state(bodies)))
-    return final, steps, (literal_bits, next_bits)
+    return final, steps, bits
 
 
 def _lowest(rows):
     """Index of the lowest set bit: the first row of a set of rows."""
     return (rows & -rows).bit_length() - 1
+
+
+class _FinalRow:
+    """The sat final outcome of a table-decided state, kept as its first row
+    with Tail true; `assignment` decodes the row when read."""
+
+    __slots__ = ("row", "bits", "tail_bit")
+    sat = True
+    core = None
+
+    def __init__(self, row, bits, tail_bit):
+        self.row, self.bits, self.tail_bit = row, bits, tail_bit
+
+    @property
+    def assignment(self):
+        literal_bits, next_bits = self.bits
+        return _label(self.row, (literal_bits + [(TAIL, self.tail_bit)], next_bits))
 
 
 def _label(row, bits):
@@ -212,6 +215,8 @@ def table_step(state, cache):
     if table is None:
         return None
     final, steps, bits = table
+    if final.sat:
+        final = QueryOutcome(final.assignment, None)
     return final, [(_label(row, bits), target) for row, target in steps]
 
 
@@ -219,7 +224,8 @@ def table_step(state, cache):
 class TransitionSystem:
     """A state graph. A table-decided state keeps the rows of its outgoing
     edges, with the bits to decode them in `row_bits`; `edges`, `preds` and
-    `label` decode them into `Assignment`s when read."""
+    `label` decode them into `Assignment`s when read. Its final outcome, if
+    sat, likewise decodes its assignment when read."""
 
     states: list
     steps: list  # (source, label or table row, target) per edge

@@ -252,7 +252,7 @@ def _bulk_equivalent(f, g, max_len):
             count = min(total - start, 1 << 16)
             left = _eval_block(f, names, length, start, count)
             right = _eval_block(g, names, length, start, count)
-            if (left != right).any():
+            if left != right:
                 return False
             start += count
     return True

@@ -16,7 +16,7 @@ from ltlfsat.formula import (
     WeakNext,
     parse,
 )
-from ltlfsat.semantics import brute_force_sat, evaluate
+from ltlfsat.semantics import _decode_positions, _eval_block, brute_force_sat, evaluate
 
 a, b, p = Atom("a"), Atom("b"), Atom("p")
 
@@ -117,6 +117,20 @@ def test_brute_force_lexicographic_first_witness():
     assert w.positions == (frozenset({"b"}),)
 
 
+@pytest.mark.parametrize("text, positions", [
+    ("a & X b", [{"a"}, {"b"}]),
+    ("F (a & b) & ! b", [set(), {"a", "b"}]),
+    ("b R ! a", [set()]),
+    ("a & X X ! a & X X X (a U b)", [{"a"}, set(), set(), {"b"}]),
+    # index 16**4 + 15 lies in the second 2**16-index block of length 5
+    ("a & X X X X (a & b & c & d)", [{"a"}, set(), set(), set(), {"a", "b", "c", "d"}]),
+])
+def test_brute_force_returns_shortest_lexicographically_first_witness(text, positions):
+    f = parse(text)
+    w = brute_force_sat(f, 6)
+    assert w.positions == tuple(frozenset(p) for p in positions)
+
+
 def test_brute_force_rejects_large_alphabets():
     f = parse("a & b & c & d & e")
     with pytest.raises(ValueError, match="atoms"):
@@ -164,3 +178,19 @@ def test_brute_force_agrees_with_direct_enumeration(f):
         assert got is not None
         assert evaluate(got, f)
         assert len(got) == len(found)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_formulas())
+def test_eval_block_matches_evaluate_bit_by_bit(f):
+    # blocks smaller than the index space, most at start > 0, so index bits
+    # above the block come from `start`
+    names = ["a", "b"]
+    alphabet = frozenset(names)
+    for length, count in ((1, 1), (1, 2), (2, 4), (3, 8), (3, 16)):
+        for start in range(0, 4 ** length, count):
+            block = _eval_block(f, names, length, start, count)
+            assert block >> count == 0
+            for r in range(count):
+                trace = FiniteTrace(_decode_positions(names, length, start + r), alphabet)
+                assert (block >> r & 1) == evaluate(trace, f), (length, start, r)
