@@ -299,14 +299,6 @@ class Encoder:
         clause.extend(-self.atom_var(Next(psi)) for psi in sorted(core, key=lambda g: g.uid))
         self.solver.add_clause(clause)
 
-    def block_next_projection(self, act, next_atoms, bodies):
-        """Forbid assignments with exactly these next-atom bodies."""
-        clause = [-act]
-        for n in sorted(next_atoms, key=lambda g: g.uid):
-            v = self.atom_var(n)
-            clause.append(-v if n.operand in bodies else v)
-        self.solver.add_clause(clause)
-
     def block_assignment(self, act, assignment, lit_atoms, next_atoms):
         """Forbid this exact assignment over the relevant atoms."""
         values = dict(assignment.literals)
@@ -318,6 +310,24 @@ class Encoder:
             v = self.atom_var(n)
             clause.append(-v if n.operand in assignment.next_bodies else v)
         self.solver.add_clause(clause)
+
+    def enumerate(self, state, lit_atoms, next_atoms):
+        """Yield the state's assignments, one per distinct projection on
+        lit_atoms and next_atoms.
+
+        Each found assignment's projection is blocked under an activation
+        literal before the next solve; the blocking clauses are released
+        once the enumeration is exhausted. A generator abandoned early keeps
+        them, which only matters if the encoder is used further.
+        """
+        act = self.new_activation()
+        while True:
+            out = self.query(state, acts=(act,))
+            if not out.sat:
+                self.solver.release(act)
+                return
+            yield out.assignment
+            self.block_assignment(act, out.assignment, lit_atoms, next_atoms)
 
     def query(self, state, *, final=False, acts=(), _recheck=False):
         """Solve the state conjunction in the given context.
@@ -384,17 +394,8 @@ def enumerate_assignments(target, *, encoder=None):
 
     Each found assignment is blocked by its full projection before the next
     solve, so the enumeration is exhaustive and free of duplicates; the
-    order is engine-dependent. The blocking clauses are released once the
-    enumeration is exhausted.
+    order is engine-dependent.
     """
     enc = encoder if encoder is not None else Encoder()
     state = target if isinstance(target, frozenset) else frozenset(conjuncts(target))
-    lit_atoms, next_atoms = enc.relevant_atoms(state)
-    act = enc.new_activation()
-    while True:
-        out = enc.query(state, acts=(act,))
-        if not out.sat:
-            enc.solver.release(act)
-            return
-        yield out.assignment
-        enc.block_assignment(act, out.assignment, lit_atoms, next_atoms)
+    yield from enc.enumerate(state, *enc.relevant_atoms(state))

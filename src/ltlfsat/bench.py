@@ -275,8 +275,9 @@ def run_instance(instance_id, family, text, solver, limits):
         verdict = solve(original, solver, limits=limits)
     except ResourceAbort as abort:
         elapsed = (time.monotonic() - start) * 1000.0
-        states = getattr(abort, "states_expanded", 0)
-        return BenchRow(instance_id, family, f"abort:{abort.kind}", states, 0,
+        # where the run stopped; brute-force aborts carry neither count
+        return BenchRow(instance_id, family, f"abort:{abort.kind}",
+                        getattr(abort, "states_expanded", 0), getattr(abort, "sat_calls", 0),
                         elapsed, False)
     elapsed = (time.monotonic() - start) * 1000.0
     verified = True
@@ -291,9 +292,8 @@ def _worker(payload):
     return run_instance(*payload)
 
 
-def run_suite(spec, solver="cdlsc", limits=None, jobs=1):
+def run_suite(spec, solver="cdlsc", limits=Limits(), jobs=1):
     """One report row per instance; satisfying witnesses are re-verified."""
-    limits = limits or Limits()
     payloads = [
         (instance_id, spec.family, render(f), solver, limits)
         for instance_id, f in instances(spec)

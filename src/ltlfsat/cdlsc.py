@@ -32,6 +32,7 @@ from .errors import (
     Deadline,
     FrameLimitExceeded,
     Limits,
+    ResourceAbort,
     SatCallLimitExceeded,
     TraceBoundExceeded,
 )
@@ -235,17 +236,16 @@ def normalise(f, raw_tnf=False):
 
 
 class _Run:
-    def __init__(self, original, *, raw_tnf, max_frames, max_sat_calls, timeout,
-                 dump_dir, iteration_hook):
+    def __init__(self, original, *, raw_tnf, limits, dump_dir, iteration_hook):
         self.original = original
         self.raw = raw_tnf
         self.tnf = normalise(original, raw_tnf)
         self.encoder = Encoder(dump_dir=dump_dir)
         self.s0 = state_of(self.tnf)
+        self.limits = limits
         # None: 2**|closure(tnf)|, computed by _over_frame_limit when needed
-        self.max_frames = max_frames
-        self.max_sat_calls = max_sat_calls
-        self.deadline = Deadline(timeout)
+        self.max_frames = limits.max_frames
+        self.deadline = Deadline(limits.timeout)
         self.iteration_hook = iteration_hook
         self.seen = {self.s0}
         self.sequence = ConflictSequence(self.encoder)
@@ -255,8 +255,9 @@ class _Run:
 
     def _tick(self):
         self.deadline.check()
-        if self.max_sat_calls is not None and self.encoder.sat_calls >= self.max_sat_calls:
-            raise SatCallLimitExceeded(self.max_sat_calls)
+        limit = self.limits.max_sat_calls
+        if limit is not None and self.encoder.sat_calls >= limit:
+            raise SatCallLimitExceeded(limit)
 
     def _over_frame_limit(self):
         frames = len(self.sequence)
@@ -377,25 +378,23 @@ class _Run:
         return Verdict(False, None, level, self._stats(start), self.sequence.snapshot())
 
 
-def check(f, *, raw_tnf=False, max_frames=None, max_sat_calls=None, timeout=None,
-          dump_dir=None, iteration_hook=None):
+def check(f, *, raw_tnf=False, limits=Limits(), dump_dir=None, iteration_hook=None):
     """Decide satisfiability of f with the conflict-driven checker.
 
     Unless raw_tnf is set, f is normalized internally and witnesses are
     reported over its own atoms; with raw_tnf the input is taken as already
-    tail-marked and witnesses keep the Tail atom. Resource limits raise
-    instead of returning a verdict.
+    tail-marked and witnesses keep the Tail atom. Of `limits` it reads
+    `timeout`, `max_frames` and `max_sat_calls`; a limit raises a
+    `ResourceAbort` instead of returning a verdict, and the abort carries
+    the run's `states_expanded` and `sat_calls` so far.
     """
-    run = _Run(
-        f,
-        raw_tnf=raw_tnf,
-        max_frames=max_frames,
-        max_sat_calls=max_sat_calls,
-        timeout=timeout,
-        dump_dir=dump_dir,
-        iteration_hook=iteration_hook,
-    )
-    return run.check()
+    run = _Run(f, raw_tnf=raw_tnf, limits=limits, dump_dir=dump_dir,
+               iteration_hook=iteration_hook)
+    try:
+        return run.check()
+    except ResourceAbort as abort:
+        abort.states_expanded, abort.sat_calls = len(run.seen), run.encoder.sat_calls
+        raise
 
 
 def solve(f, engine, *, raw_tnf=False, limits=Limits(), dump_dir=None):
@@ -410,14 +409,13 @@ def solve(f, engine, *, raw_tnf=False, limits=Limits(), dump_dir=None):
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose one of {ENGINES}")
     if engine == "cdlsc":
-        return check(f, raw_tnf=raw_tnf, max_frames=limits.max_frames,
-                     timeout=limits.timeout, dump_dir=dump_dir)
+        return check(f, raw_tnf=raw_tnf, limits=limits, dump_dir=dump_dir)
     if dump_dir is not None:
         raise ValueError("clause dumps are written by the cdlsc engine only")
     if engine == "naive":
         tnf = normalise(f, raw_tnf)
         start = time.monotonic()
-        result = naive_check(tnf, state_limit=limits.state_limit, timeout=limits.timeout)
+        result = naive_check(tnf, limits=limits)
         witness = result.witness_with_tail if raw_tnf else result.witness
         if result.sat:
             _verified(witness, f)

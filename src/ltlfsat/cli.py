@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import bench as benchmod
 from .cdlsc import ENGINES, normalise, solve
@@ -50,9 +51,9 @@ def _build_parser():
     check.add_argument("--raw-tnf", action="store_true",
                        help="treat the input as already tail-marked; Tail allowed")
     check.add_argument("--oracle", choices=ENGINES, default="cdlsc")
-    check.add_argument("--max-frames", type=int, default=None)
-    check.add_argument("--timeout", type=float, default=None)
-    check.add_argument("--brute-bound", type=int, default=8,
+    check.add_argument("--max-frames", type=int, default=Limits.max_frames)
+    check.add_argument("--timeout", type=float, default=Limits.timeout)
+    check.add_argument("--brute-bound", type=int, default=Limits.brute_bound,
                        help="trace-length bound for the brute oracle")
     check.add_argument("--out", help="write the witness trace to FILE")
     check.add_argument("--dump-cnf", help="dump one clause file per solver query into DIR")
@@ -60,7 +61,7 @@ def _build_parser():
     oracle = subs.add_parser("oracle", help="run all engines and compare verdicts")
     _add_formula_args(oracle)
     oracle.add_argument("--raw-tnf", action="store_true")
-    oracle.add_argument("--timeout", type=float, default=None)
+    oracle.add_argument("--timeout", type=float, default=Limits.timeout)
 
     verify = subs.add_parser("verify", help="check a trace file against a formula")
     _add_formula_args(verify)
@@ -78,16 +79,17 @@ def _build_parser():
     bench.add_argument("--cross-check", choices=ENGINES, default=None,
                        help="also run this engine and flag verdict disagreements")
     bench.add_argument("--jobs", type=int, default=1)
-    bench.add_argument("--timeout", type=float, default=None,
+    bench.add_argument("--timeout", type=float, default=Limits.timeout,
                        help="per-instance timeout in seconds")
-    bench.add_argument("--max-frames", type=int, default=None)
-    bench.add_argument("--state-limit", type=int, default=1 << 20)
-    bench.add_argument("--brute-bound", type=int, default=8)
+    bench.add_argument("--max-frames", type=int, default=Limits.max_frames)
+    bench.add_argument("--state-limit", type=int, default=Limits.state_limit)
+    bench.add_argument("--brute-bound", type=int, default=Limits.brute_bound)
     bench.add_argument("--out", help="write the report CSV to FILE")
 
     dump = subs.add_parser("dump-ts", help="write the transition system as a graph")
     _add_formula_args(dump)
     dump.add_argument("--raw-tnf", action="store_true")
+    # smaller than Limits.state_limit: a graph this size is already unreadable
     dump.add_argument("--state-limit", type=int, default=1 << 16)
     dump.add_argument("--out", help="write the graph text to FILE (default stdout)")
 
@@ -97,32 +99,23 @@ def _build_parser():
 def _add_gen_args(sub):
     sub.add_argument("--family", choices=("random", "pattern", "conjunction"),
                      required=True)
+    spec = benchmod.BenchSpec
     sub.add_argument("--count", type=int, default=20)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--vars", type=int, default=3)
-    sub.add_argument("--length-min", type=int, default=5)
-    sub.add_argument("--length-max", type=int, default=12)
-    sub.add_argument("--temporal-prob", type=float, default=0.5)
-    sub.add_argument("--pattern", choices=benchmod.PATTERN_NAMES, default="response")
-    sub.add_argument("--k-min", type=int, default=3)
-    sub.add_argument("--k-max", type=int, default=8)
-    sub.add_argument("--alphabet-size", type=int, default=6)
+    sub.add_argument("--vars", type=int, default=spec.vars)
+    sub.add_argument("--length-min", type=int, default=spec.length_min)
+    sub.add_argument("--length-max", type=int, default=spec.length_max)
+    sub.add_argument("--temporal-prob", type=float, default=spec.temporal_prob)
+    sub.add_argument("--pattern", choices=benchmod.PATTERN_NAMES, default=spec.pattern)
+    sub.add_argument("--k-min", type=int, default=spec.k_min)
+    sub.add_argument("--k-max", type=int, default=spec.k_max)
+    sub.add_argument("--alphabet-size", type=int, default=spec.alphabet_size)
 
 
-def _spec_from_args(args):
-    return benchmod.BenchSpec(
-        family=args.family,
-        count=args.count,
-        seed=args.seed,
-        vars=args.vars,
-        length_min=args.length_min,
-        length_max=args.length_max,
-        temporal_prob=args.temporal_prob,
-        pattern=args.pattern,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        alphabet_size=args.alphabet_size,
-    )
+def _from_args(cls, args):
+    """A `Limits` or `BenchSpec` from the flags named after its fields; a
+    field the subcommand has no flag for keeps its default."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
 
 
 def _print_stats(stats):
@@ -146,10 +139,8 @@ def _emit_witness(witness, out):
 
 def _cmd_check(args):
     original = _load_formula(args)
-    limits = Limits(timeout=args.timeout, max_frames=args.max_frames,
-                    brute_bound=args.brute_bound)
-    verdict = solve(original, args.oracle, raw_tnf=args.raw_tnf, limits=limits,
-                    dump_dir=args.dump_cnf)
+    verdict = solve(original, args.oracle, raw_tnf=args.raw_tnf,
+                    limits=_from_args(Limits, args), dump_dir=args.dump_cnf)
     print(f"verdict: {'sat' if verdict.sat else 'unsat'}")
     if verdict.sat:
         _emit_witness(verdict.witness, args.out)
@@ -161,7 +152,7 @@ def _cmd_check(args):
 
 def _cmd_oracle(args):
     original = _load_formula(args)
-    limits = Limits(timeout=args.timeout)
+    limits = _from_args(Limits, args)
     verdicts = {
         engine: solve(original, engine, raw_tnf=args.raw_tnf, limits=limits).sat
         for engine in ("cdlsc", "naive")
@@ -170,9 +161,9 @@ def _cmd_oracle(args):
     if count <= MAX_BRUTE_ATOMS:
         # brute force is complete only up to the system's witness-length bound
         full = build_full_system(normalise(original, args.raw_tnf), exhaustive=True,
-                                 timeout=args.timeout)
+                                 limits=limits)
         bound = brute_bound(original, full)
-        witness = brute_force_sat(original, bound, timeout=args.timeout)
+        witness = brute_force_sat(original, bound, timeout=limits.timeout)
         verdicts["brute"] = witness is not None
     for name, sat in verdicts.items():
         print(f"{name}: {'sat' if sat else 'unsat'}")
@@ -199,20 +190,15 @@ def _cmd_verify(args):
 
 
 def _cmd_gen(args):
-    spec = _spec_from_args(args)
+    spec = _from_args(benchmod.BenchSpec, args)
     manifest = benchmod.write_corpus(spec, args.out)
     print(f"wrote {len(manifest['formulas'])} formulas to {args.out}")
     return EXIT_OK
 
 
 def _cmd_bench(args):
-    spec = _spec_from_args(args)
-    limits = Limits(
-        timeout=args.timeout,
-        max_frames=args.max_frames,
-        state_limit=args.state_limit,
-        brute_bound=args.brute_bound,
-    )
+    spec = _from_args(benchmod.BenchSpec, args)
+    limits = _from_args(Limits, args)
     report = benchmod.run_suite(spec, solver=args.oracle, limits=limits, jobs=args.jobs)
     csv_text = benchmod.render_csv(report)
     if args.out:
@@ -242,8 +228,8 @@ def _cmd_bench(args):
 
 
 def _cmd_dump_ts(args):
-    ts = build_full_system(normalise(_load_formula(args), args.raw_tnf),
-                           state_limit=args.state_limit, exhaustive=True)
+    ts = build_full_system(normalise(_load_formula(args), args.raw_tnf), exhaustive=True,
+                           limits=_from_args(Limits, args))
     text = export_dot(ts)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

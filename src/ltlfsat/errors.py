@@ -12,10 +12,20 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Limits:
-    """Resource limits of one engine run; each engine reads the ones it has."""
+    """Resource limits of one engine run, the only way a limit reaches an
+    engine; each engine reads the fields it has and ignores the rest.
+
+    `timeout` (seconds) is read by every engine. `max_frames` and
+    `max_sat_calls` are read by the conflict-driven checker (`cdlsc.check`);
+    `max_frames` None means 2**|closure|. `state_limit` is read by the state
+    explorations (`naive_check`, `build_full_system`), and `brute_bound`,
+    the trace-length bound, by the brute engine of `cdlsc.solve`. A limit of
+    None is no limit.
+    """
 
     timeout: float | None = None
     max_frames: int | None = None
+    max_sat_calls: int | None = None
     state_limit: int = 1 << 20
     brute_bound: int = 8
 

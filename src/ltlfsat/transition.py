@@ -9,11 +9,12 @@ distinguished empty-obligation state {true}, which is final by construction.
 A state with at most TABLE_ATOMS relevant atoms (literal atoms, next-atoms
 and Tail) is decided by `table_step`, one truth table over every valuation
 of those atoms, with no solver: each atom's column is an int with one bit
-per row, and the members' expanded forms are evaluated bitwise over it. A
-larger state goes to the system's `Encoder`, created when the first such
-state is met: `successors(encoder, state)` enumerates its distinct
-successors, and `encoder.query(state, final=True)` tests whether it can end
-the trace.
+per row, and the members' expanded forms are evaluated bitwise over it by
+replaying their cached encoding recipes (`abstraction._recipe`), the node
+orders `Encoder.member` replays into a solver. A larger state goes to the
+system's `Encoder`, created when the first such state is met:
+`successors(encoder, state)` enumerates its distinct successors, and
+`encoder.query(state, final=True)` tests whether it can end the trace.
 
 A system keeps the edges out of a table-decided state, and its final
 assignment, as rows, and decodes a row into its `Assignment` only when that
@@ -25,26 +26,23 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .abstraction import Assignment, Encoder, QueryOutcome, expanded_atoms, xnf
-from .errors import Deadline, StateLimitExceeded, TimeoutExceeded
+from .abstraction import Assignment, Encoder, QueryOutcome, _recipe
+from .errors import Deadline, Limits, ResourceAbort, StateLimitExceeded
 from .formula import (
+    FALSE,
     TAIL,
+    TRUE,
     And,
     Atom,
     FiniteTrace,
     Next,
-    Not,
     Or,
-    TRUE,
-    TrueConst,
     atoms,
     conjuncts,
     is_tnf,
     render,
 )
 from .semantics import column_masks
-
-DEFAULT_STATE_LIMIT = 1 << 20
 
 # A table has 2**k rows for k relevant atoms, so each bitwise operation on its
 # columns and each group of rows split off by a next-atom costs 2**k bits:
@@ -71,24 +69,15 @@ def successor_state(bodies):
 
 def successors(encoder, state):
     """All successors of a state, one (label, target) pair per distinct
-    next-atom projection (two projections may name the same target).
-
-    The enumeration's blocking clauses are released once it is exhausted; a
-    generator abandoned early keeps them, which only matters if the encoder
-    is used further.
+    next-atom projection (two projections may name the same target), from
+    `Encoder.enumerate`.
     """
-    act = encoder.new_activation()
     _, next_atoms = encoder.relevant_atoms(state)
-    while True:
-        out = encoder.query(state, acts=(act,))
-        if not out.sat:
-            encoder.solver.release(act)
-            return
-        yield out.assignment, successor_state(out.assignment.next_bodies)
-        encoder.block_next_projection(act, next_atoms, out.assignment.next_bodies)
+    for label in encoder.enumerate(state, (), next_atoms):
+        yield label, successor_state(label.next_bodies)
 
 
-def _table(state, cache):
+def _table(state):
     """`table_step` with each successor's label left as its row.
 
     Returns (final outcome, [(row, target), ...], (literal bits, next
@@ -96,42 +85,34 @@ def _table(state, cache):
     None when the state has more than TABLE_ATOMS relevant atoms. A sat
     final outcome is a `_FinalRow`.
     """
-    members = sorted(state, key=_uid)
+    recipes = [_recipe(psi) for psi in sorted(state, key=_uid)]
     tail = Atom(TAIL)
     lits, nexts = set(), set()
-    for psi in members:
-        got = cache.get(psi)
-        if got is None:
-            got = cache[psi] = expanded_atoms(xnf(psi))
-        lits |= got[0]
-        nexts |= got[1]
+    for _, member_lits, member_nexts in recipes:
+        lits |= member_lits
+        nexts |= member_nexts
     columns = sorted(lits | nexts | {tail}, key=_uid)
     if len(columns) > TABLE_ATOMS:
         return None
     full = (1 << (1 << len(columns))) - 1
     column = {a.uid: mask for a, mask in zip(columns, column_masks(len(columns)))}
-    memo = {}  # by uid: the hash of a formula node is a Python-level call
-
-    def ev(g):
-        got = memo.get(g.uid)
-        if got is None:
-            kind = type(g)
-            if kind is Atom or kind is Next:
-                got = column[g.uid]
-            elif kind is Not:
-                got = ev(g.operand) ^ full
-            elif kind is And:
-                got = ev(g.left) & ev(g.right)
-            elif kind is Or:
-                got = ev(g.left) | ev(g.right)
-            else:
-                got = full if kind is TrueConst else 0
-            memo[g.uid] = got
-        return got
-
+    # by uid, as `Encoder.member` keys its literals: the value of every node
+    # replayed so far, seeded with the columns and the constants
+    value = {**column, TRUE.uid: full, FALSE.uid: 0}
     sat = full
-    for psi in members:
-        sat &= ev(xnf(psi))
+    for steps, _, _ in recipes:
+        for g in steps:
+            uid = g.uid
+            if uid in value:
+                continue
+            kind = type(g)
+            if kind is And:
+                value[uid] = value[g.left.uid] & value[g.right.uid]
+            elif kind is Or:
+                value[uid] = value[g.left.uid] | value[g.right.uid]
+            else:  # a negated atom
+                value[uid] = value[g.operand.uid] ^ full
+        sat &= value[steps[-1].uid]
 
     bit = {a.uid: 1 << j for j, a in enumerate(columns)}
     literal_bits = [(a.name, bit[a.uid]) for a in lits]
@@ -194,7 +175,7 @@ def _label(row, bits):
     )
 
 
-def table_step(state, cache):
+def table_step(state):
     """Final test and successors of a small state from its truth table.
 
     Rows run over every valuation of the state's relevant atoms, Tail
@@ -208,10 +189,9 @@ def table_step(state, cache):
 
     Returns (final outcome, [(label, target), ...]), or None when the state
     has more than TABLE_ATOMS relevant atoms; a final outcome that is unsat
-    carries the whole state as its core. `cache` maps members to their
-    relevant atoms and is owned by the caller.
+    carries the whole state as its core.
     """
-    table = _table(state, cache)
+    table = _table(state)
     if table is None:
         return None
     final, steps, bits = table
@@ -262,12 +242,12 @@ class TransitionSystem:
         return {j: (i, self.label(i, label)) for j, (i, label) in self.parents.items()}
 
 
-def _explore(f, *, state_limit, stop_on_final, timeout):
+def _explore(f, limits, stop_on_final):
     if not is_tnf(f):
         raise ValueError("transition systems are built over TNF formulas")
-    deadline = Deadline(timeout)
+    deadline = Deadline(limits.timeout)
+    state_limit = limits.state_limit
     encoder = None
-    cache = {}
     initial = state_of(f)
     states = [initial]
     index = {initial: 0}
@@ -281,7 +261,7 @@ def _explore(f, *, state_limit, stop_on_final, timeout):
     def decide(j):
         """Final test of a fresh state; a table also gives its successors."""
         nonlocal encoder
-        table = _table(states[j], cache)
+        table = _table(states[j])
         if table is not None:
             final[j], tabled[j], row_bits[j] = table
             return
@@ -324,25 +304,22 @@ def _explore(f, *, state_limit, stop_on_final, timeout):
                     found = j
                     if stop_on_final:
                         return system(), found
-    except (TimeoutExceeded, StateLimitExceeded) as abort:
+    except ResourceAbort as abort:
         abort.states_expanded = len(states)
+        abort.sat_calls = 0 if encoder is None else encoder.sat_calls
         raise
     return system(), found
 
 
-def build_full_system(f, *, state_limit=DEFAULT_STATE_LIMIT, exhaustive=False,
-                      timeout=None):
+def build_full_system(f, *, exhaustive=False, limits=Limits()):
     """Breadth-first closure of the initial state under successor generation.
 
     Stops early once a final state is discovered unless exhaustive mode is
-    requested; exceeding the state limit is an error, never a verdict.
+    requested. Of `limits` it reads `state_limit` and `timeout`; exceeding
+    either raises a `ResourceAbort`, never a verdict, that carries the
+    `states_expanded` and `sat_calls` so far.
     """
-    ts, _ = _explore(
-        f,
-        state_limit=state_limit,
-        stop_on_final=not exhaustive,
-        timeout=timeout,
-    )
+    ts, _ = _explore(f, limits, not exhaustive)
     return ts
 
 
@@ -370,19 +347,15 @@ class NaiveResult:
     table_states: int = 0
 
 
-def naive_check(f, *, state_limit=DEFAULT_STATE_LIMIT, timeout=None):
+def naive_check(f, *, limits=Limits()):
     """Complete satisfiability check by exhaustive state construction.
 
     Satisfiable iff some reachable state is final; the witness is assembled
     from the discovery path's labels plus the final-position assignment,
-    with the Tail marker stripped.
+    with the Tail marker stripped. Of `limits` it reads `state_limit` and
+    `timeout`, as `build_full_system` does.
     """
-    ts, found = _explore(
-        f,
-        state_limit=state_limit,
-        stop_on_final=True,
-        timeout=timeout,
-    )
+    ts, found = _explore(f, limits, True)
     if found is None:
         return NaiveResult(False, None, None, ts.state_count, ts.sat_calls,
                            ts.live_clauses, ts.table_states)

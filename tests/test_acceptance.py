@@ -13,7 +13,7 @@ import pytest
 
 from ltlfsat import cdlsc
 from ltlfsat.bench import BenchSpec, PATTERN_NAMES, gen_pattern, gen_random, instances
-from ltlfsat.errors import ResourceAbort, StateLimitExceeded
+from ltlfsat.errors import Limits, ResourceAbort, StateLimitExceeded
 from ltlfsat.formula import TAIL, FiniteTrace, atoms, parse, to_nnf, to_tnf
 from ltlfsat.abstraction import xnf
 from ltlfsat.semantics import _eval_block, brute_force_sat, evaluate
@@ -77,7 +77,7 @@ def oracle_rows():
 def conjunction_rows():
     rows = []
     for instance_id, f in instances(CONJUNCTION_SPEC):
-        verdict = cdlsc.check(f, timeout=60)
+        verdict = cdlsc.check(f, limits=Limits(timeout=60))
         rows.append({"id": instance_id, "formula": f, "verdict": verdict})
     return rows
 
@@ -87,11 +87,11 @@ def efficiency_rows():
     rows = []
     for instance_id, f in instances(EFFICIENCY_SPEC):
         t0 = time.monotonic()
-        verdict = cdlsc.check(f, timeout=60)
+        verdict = cdlsc.check(f, limits=Limits(timeout=60))
         cd_elapsed = time.monotonic() - t0
         t0 = time.monotonic()
         try:
-            naive = naive_check(to_tnf(to_nnf(f)), state_limit=300)
+            naive = naive_check(to_tnf(to_nnf(f)), limits=Limits(state_limit=300))
             nv_states = naive.states_expanded
             nv_verdict = "sat" if naive.sat else "unsat"
             nv_witness = naive.witness
@@ -213,7 +213,7 @@ def test_criterion_4_pattern_results(conjunction_rows):
     for row in conjunction_rows:
         try:
             naive = naive_check(
-                to_tnf(to_nnf(row["formula"])), state_limit=2000, timeout=10
+                to_tnf(to_nnf(row["formula"])), limits=Limits(state_limit=2000, timeout=10)
             )
         except ResourceAbort:
             continue
@@ -426,20 +426,19 @@ def test_criterion_8_termination_discipline(oracle_rows, conjunction_rows, effic
     unsat = parse("((! Tail) U a) & (Tail R ! a) & ((! Tail) U b)")
     aborted_cleanly = 0
     try:
-        cdlsc.check(unsat, raw_tnf=True, max_frames=0)
+        cdlsc.check(unsat, raw_tnf=True, limits=Limits(max_frames=0))
     except ResourceAbort:
         aborted_cleanly += 1
     try:
-        cdlsc.check(unsat, raw_tnf=True, max_sat_calls=1)
+        cdlsc.check(unsat, raw_tnf=True, limits=Limits(max_sat_calls=1))
     except ResourceAbort:
         aborted_cleanly += 1
     try:
-        naive_check(unsat, state_limit=1)
+        naive_check(unsat, limits=Limits(state_limit=1))
     except StateLimitExceeded:
         aborted_cleanly += 1
     # aborted bench runs carry no verdict
     from ltlfsat.bench import run_suite
-    from ltlfsat.errors import Limits
 
     report = run_suite(
         BenchSpec(family="random", count=12, seed=11, length_min=5, length_max=10),

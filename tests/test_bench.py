@@ -80,7 +80,7 @@ def test_conjunction_verdicts_vary():
     verdicts = set()
     for seed in range(20):
         f = gen_conjunction(seed, 6, seed + 100)
-        verdicts.add(check(f, timeout=20).sat)
+        verdicts.add(check(f, limits=Limits(timeout=20)).sat)
         if len(verdicts) == 2:
             break
     assert verdicts == {True, False}
@@ -129,6 +129,15 @@ def test_aborts_are_rows_not_verdicts():
     aborted = [r for r in report.rows if r.verdict.startswith("abort:")]
     assert aborted, "expected at least one instance to trip the state limit"
     assert not any(r.verified for r in aborted)
+
+
+def test_aborted_cdlsc_rows_report_where_the_run_stopped():
+    spec = BenchSpec(family="random", count=12, seed=11)
+    report = run_suite(spec, solver="cdlsc", limits=Limits(max_frames=0))
+    aborted = [r for r in report.rows if r.verdict == "abort:max_frames"]
+    assert aborted, "expected an instance whose initial state is not final"
+    # the initial state was expanded by one final-position query
+    assert all(r.states_expanded > 0 and r.sat_calls > 0 for r in aborted)
 
 
 def test_csv_shape():

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import signal
 import time
 from collections import deque
@@ -17,7 +19,14 @@ from ltlfsat.cdlsc import (
     reconstruct_witness,
     solve,
 )
-from ltlfsat.errors import FrameLimitExceeded, SatCallLimitExceeded, TimeoutExceeded
+from ltlfsat.errors import (
+    FrameLimitExceeded,
+    Limits,
+    SatCallLimitExceeded,
+    StateLimitExceeded,
+    TimeoutExceeded,
+    TraceBoundExceeded,
+)
 from ltlfsat.abstraction import Assignment, Encoder, propositional_atoms
 from ltlfsat.formula import (
     TAIL,
@@ -244,12 +253,12 @@ def test_naive_engine_flags_bad_witnesses(monkeypatch):
 
 def test_frame_limit_aborts_without_verdict():
     with pytest.raises(FrameLimitExceeded):
-        check(UNSAT3, raw_tnf=True, max_frames=0)
+        check(UNSAT3, raw_tnf=True, limits=Limits(max_frames=0))
 
 
 def test_default_frame_limit_is_computed_once_past_the_initial_state_bound():
-    run = cdlsc._Run(parse("a U b & G ! c"), raw_tnf=False, max_frames=None,
-                     max_sat_calls=None, timeout=None, dump_dir=None, iteration_hook=None)
+    run = cdlsc._Run(parse("a U b & G ! c"), raw_tnf=False, limits=Limits(),
+                     dump_dir=None, iteration_hook=None)
     floor = 1 << len(run.s0)
     run.sequence.ensure(floor - 1)
     assert not run._over_frame_limit()
@@ -261,19 +270,43 @@ def test_default_frame_limit_is_computed_once_past_the_initial_state_bound():
 
 def test_sat_call_limit_aborts_without_verdict():
     with pytest.raises(SatCallLimitExceeded):
-        check(FIVE, raw_tnf=True, max_sat_calls=1)
+        check(FIVE, raw_tnf=True, limits=Limits(max_sat_calls=1))
 
 
 def test_timeout_aborts_without_verdict():
     with pytest.raises(TimeoutExceeded):
-        check(FIVE, raw_tnf=True, timeout=0.0)
+        check(FIVE, raw_tnf=True, limits=Limits(timeout=0.0))
 
 
 def test_timeout_covers_the_fixpoint_test():
     # the fixpoint is reached on the first iteration, right after the hook
     with pytest.raises(TimeoutExceeded):
-        check(parse("p & ! p"), timeout=0.05,
+        check(parse("p & ! p"), limits=Limits(timeout=0.05),
               iteration_hook=lambda level, frames: time.sleep(0.1))
+
+
+@pytest.mark.parametrize("engine, limits, abort", [
+    ("cdlsc", Limits(timeout=0.0), TimeoutExceeded),
+    ("cdlsc", Limits(max_frames=0), FrameLimitExceeded),
+    ("cdlsc", Limits(max_sat_calls=1), SatCallLimitExceeded),
+    ("naive", Limits(timeout=0.0), TimeoutExceeded),
+    ("naive", Limits(state_limit=1), StateLimitExceeded),
+    ("brute", Limits(timeout=0.0), TimeoutExceeded),
+    ("brute", Limits(brute_bound=1), TraceBoundExceeded),
+])
+def test_each_limit_reaches_its_engine_through_solve(engine, limits, abort):
+    # the shortest witness has two positions, so no engine decides at once
+    f = parse("X a")
+    assert solve(f, engine).sat
+    with pytest.raises(abort):
+        solve(f, engine, limits=limits)
+
+
+@pytest.mark.parametrize("engine", [check, naive_check, build_full_system])
+def test_engines_take_limits_only_as_one_object(engine):
+    params = inspect.signature(engine).parameters
+    assert "limits" in params
+    assert not {f.name for f in dataclasses.fields(Limits)} & set(params)
 
 
 def _eventualities(n):
@@ -422,8 +455,8 @@ def test_frame_solvers_block_cores_added_before_they_exist():
 
 
 def test_frame_zero_shares_the_run_encoder():
-    run = cdlsc._Run(_eventualities(4), raw_tnf=False, max_frames=None,
-                     max_sat_calls=None, timeout=None, dump_dir=None, iteration_hook=None)
+    run = cdlsc._Run(_eventualities(4), raw_tnf=False, limits=Limits(),
+                     dump_dir=None, iteration_hook=None)
     created = []
     sibling = Encoder.sibling
 

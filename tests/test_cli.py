@@ -1,9 +1,20 @@
+import dataclasses
 import json
 import re
 
 import pytest
 
-from ltlfsat.cli import EXIT_ABORT, EXIT_OK, EXIT_SAT, EXIT_UNSAT, EXIT_USAGE, main
+from ltlfsat.bench import BenchSpec
+from ltlfsat.cli import (
+    EXIT_ABORT,
+    EXIT_OK,
+    EXIT_SAT,
+    EXIT_UNSAT,
+    EXIT_USAGE,
+    _build_parser,
+    main,
+)
+from ltlfsat.errors import Limits
 
 
 def _write(tmp_path, name, text):
@@ -228,3 +239,28 @@ def test_dump_cnf_queries(tmp_path, capsys):
     ])
     assert code == EXIT_SAT
     assert list(dump.glob("query*.cnf"))
+
+
+def _defaulted(cls, args):
+    """Fields of cls that the parsed subcommand has a flag for, with the
+    flag's default and the field's."""
+    return {f.name: (getattr(args, f.name), f.default)
+            for f in dataclasses.fields(cls) if hasattr(args, f.name)}
+
+
+def test_parser_defaults_are_the_limits_and_spec_defaults():
+    parser = _build_parser()
+    check = parser.parse_args(["check", "--formula", "a"])
+    bench = parser.parse_args(["bench", "--family", "random"])
+    gen = parser.parse_args(["gen", "--family", "random", "--out", "corpus"])
+    assert set(_defaulted(Limits, check)) == {"timeout", "max_frames", "brute_bound"}
+    assert set(_defaulted(Limits, bench)) == {"timeout", "max_frames", "state_limit",
+                                              "brute_bound"}
+    for args in (check, bench):
+        for flag, field in _defaulted(Limits, args).values():
+            assert flag == field
+    for args in (bench, gen):
+        spec = _defaulted(BenchSpec, args)
+        assert len(spec) == len(dataclasses.fields(BenchSpec))
+        for flag, field in spec.values():
+            assert field is dataclasses.MISSING or flag == field

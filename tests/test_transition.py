@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 import ltlfsat
 from ltlfsat.abstraction import Assignment, Encoder, enumerate_assignments, expanded_atoms, xnf
 from ltlfsat.bench import gen_random
-from ltlfsat.errors import StateLimitExceeded, TimeoutExceeded
+from ltlfsat.errors import Limits, StateLimitExceeded, TimeoutExceeded
 from ltlfsat.formula import (
     FALSE,
     TAIL,
@@ -167,13 +167,13 @@ def test_state_set_is_solver_order_insensitive():
 
 def test_state_limit_is_an_error_not_a_verdict():
     with pytest.raises(StateLimitExceeded) as abort:
-        build_full_system(FIVE, state_limit=3, exhaustive=True)
+        build_full_system(FIVE, exhaustive=True, limits=Limits(state_limit=3))
     assert abort.value.states_expanded == 3
 
 
 def test_timeout_reports_progress():
     with pytest.raises(TimeoutExceeded) as abort:
-        build_full_system(FIVE, exhaustive=True, timeout=0.0)
+        build_full_system(FIVE, exhaustive=True, limits=Limits(timeout=0.0))
     assert abort.value.states_expanded >= 1
 
 
@@ -213,7 +213,7 @@ def _holds(g, values, bodies):
 
 
 def _assert_table_matches_sat(state, encoder):
-    table = table_step(state, {})
+    table = table_step(state)
     assert table is not None
     final, steps = table
     expanded = [xnf(psi) for psi in state]
@@ -261,7 +261,7 @@ def _temporal_formulas(max_leaves):
 @given(st.lists(_temporal_formulas(8), min_size=1, max_size=3))
 def test_table_matches_sat_enumeration_on_drawn_states(parts):
     state = frozenset().union(*(state_of(to_tnf(to_nnf(g))) for g in parts))
-    assume(table_step(state, {}) is not None)
+    assume(table_step(state) is not None)
     _assert_table_matches_sat(state, Encoder())
 
 
@@ -381,7 +381,7 @@ def _reference_table(state):
 
 
 def _assert_table_matches_reference(state, reference):
-    table = table_step(state, {})
+    table = table_step(state)
     assert table is not None
     final, steps = table
     ref_final, ref_steps = reference
@@ -411,7 +411,7 @@ def test_table_matches_row_reference_on_anchor(anchor_reference):
 @given(st.lists(_temporal_formulas(8), min_size=1, max_size=3))
 def test_table_matches_row_reference_on_drawn_states(parts):
     state = frozenset().union(*(state_of(to_tnf(to_nnf(g))) for g in parts))
-    assume(table_step(state, {}) is not None)
+    assume(table_step(state) is not None)
     _assert_table_matches_reference(state, _reference_table(state))
 
 
