@@ -35,8 +35,19 @@ from .formula import (
     Until,
     WeakNext,
     conjuncts,
+    subformulas,
 )
 from .satengine import SatSolver
+
+
+# the connectives of the propositional reading, which its walks look through,
+# and with the constants, every kind of node that is not one of its atoms
+_CONNECTIVES = frozenset({And, Or, Not})
+_NOT_ATOMS = _CONNECTIVES | {TrueConst, FalseConst}
+
+
+def _connective(g):
+    return type(g) in _CONNECTIVES
 
 
 def propositional_atoms(f):
@@ -45,47 +56,20 @@ def propositional_atoms(f):
     Temporal nodes (next/until/release and weak-next) count as indivisible
     atoms; negation and the boolean connectives are looked through.
     """
-    out = set()
-    stack = [f]
-    seen = set()  # uids: shared subterms are read once
-    while stack:
-        g = stack.pop()
-        if g.uid in seen:
-            continue
-        seen.add(g.uid)
-        if isinstance(g, (TrueConst, FalseConst)):
-            continue
-        if isinstance(g, (Atom, Next, Until, Release, WeakNext)):
-            out.add(g)
-        elif isinstance(g, Not):
-            stack.append(g.operand)
-        else:
-            stack.append(g.left)
-            stack.append(g.right)
-    return frozenset(out)
+    return frozenset(g for g in subformulas(f, _connective) if type(g) not in _NOT_ATOMS)
 
 
 def expanded_atoms(expanded):
     """Literal atoms and next-atoms of an expanded (`xnf`) formula."""
     lits = set()
     nexts = set()
-    seen = set()  # uids of the visited connectives; expansions share subterms
-    stack = [expanded]
-    while stack:
-        g = stack.pop()
+    for g in subformulas(expanded, _connective):
         kind = type(g)
         if kind is Atom:
             lits.add(g)
         elif kind is Next:
             nexts.add(g)
-        elif kind is And or kind is Or:
-            if g.uid not in seen:
-                seen.add(g.uid)
-                stack.append(g.left)
-                stack.append(g.right)
-        elif kind is Not:
-            stack.append(g.operand)
-        elif kind is not TrueConst and kind is not FalseConst:
+        elif kind not in _NOT_ATOMS:
             raise ValueError(f"unexpanded temporal node in an expanded formula: {g!r}")
     return frozenset(lits), frozenset(nexts)
 
@@ -147,8 +131,8 @@ def _recipe(psi):
         g, complete = stack.pop()
         if complete:
             steps.append(g)
-        elif g.uid not in seen:
-            seen.add(g.uid)
+        elif g not in seen:
+            seen.add(g)
             kind = type(g)
             if kind is And or kind is Or:
                 stack.append((g, True))
@@ -202,8 +186,7 @@ class _QueryCount:
 class Encoder:
     """A node-to-literal table plus one persistent solver.
 
-    The table maps the uid of every node encoded so far to its literal
-    (an int key hashes without calling `Formula.__hash__`): an atom or
+    The table maps every node encoded so far to its literal: an atom or
     next-atom to its variable, a negated atom to the negated variable, a
     connective of an expanded form to its definition variable, and the
     constants to the literals of a variable fixed true. `member` replays a
@@ -223,7 +206,7 @@ class Encoder:
             os.makedirs(dump_dir, exist_ok=True)
         self._true = self.solver.new_var()
         self.solver.add_clause([self._true])
-        self._lits = {TRUE.uid: self._true, FALSE.uid: -self._true}
+        self._lits = {TRUE: self._true, FALSE: -self._true}
         self._tail_var = self.atom_var(Atom(TAIL))
         self.final_activation = self.solver.new_var()
         self.solver.add_clause([-self.final_activation, self._tail_var])
@@ -243,10 +226,10 @@ class Encoder:
 
     def atom_var(self, pa):
         """The variable of an atom or next-atom, created on first use."""
-        v = self._lits.get(pa.uid)
+        v = self._lits.get(pa)
         if v is None:
             v = self.solver.new_var()
-            self._lits[pa.uid] = v
+            self._lits[pa] = v
         return v
 
     def member(self, psi):
@@ -256,28 +239,27 @@ class Encoder:
         operands, so definition variables track their structure and never
         force don't-care atoms.
         """
-        entry = self._members.get(psi.uid)
+        entry = self._members.get(psi)
         if entry is None:
             steps, lits, nexts = _recipe(psi)
             table = self._lits
             solver = self.solver
             for g in steps:
-                uid = g.uid
-                if uid in table:
+                if g in table:
                     continue
                 kind = type(g)
                 if kind is And or kind is Or:
                     d = solver.new_var()
-                    solver.add_definition(d, table[g.left.uid], table[g.right.uid], kind is And)
-                    table[uid] = d
+                    solver.add_definition(d, table[g.left], table[g.right], kind is And)
+                    table[g] = d
                 elif kind is Not:
-                    table[uid] = -self.atom_var(g.operand)
+                    table[g] = -self.atom_var(g.operand)
                 else:
                     self.atom_var(g)
             p = solver.new_var()
-            solver.add_clause([-p, table[steps[-1].uid]])
+            solver.add_clause([-p, table[steps[-1]]])
             entry = (p, lits, nexts)
-            self._members[psi.uid] = entry
+            self._members[psi] = entry
         return entry
 
     def relevant_atoms(self, state):

@@ -203,18 +203,23 @@ def reconstruct_witness(labels, final_assignment, original, *, keep_tail=False):
 
     The trace is cut at the first Tail-marked position; Tail is stripped
     unless the caller works on a raw TNF formula. The result is verified
-    against the original formula; failure indicates an internal bug.
+    against the original formula; see `_verified` for what a failure means.
     """
     trace = assemble_trace(labels, final_assignment, atoms(original))
     if not keep_tail:
         trace = trace.without_atom(TAIL)
-    return _verified(trace, original)
+    return _verified(trace, original, keep_tail)
 
 
-def _verified(trace, f):
-    """The witness trace, once checked against f's semantics."""
+def _verified(trace, f, raw_tnf):
+    """The witness trace, once checked against f's semantics.
+
+    A failure on raw TNF input is an input error (a ValueError): its
+    next-step obligations need not be guarded by Tail. On normalised input
+    it is an internal bug (a `WitnessError`).
+    """
     if not evaluate(trace, f):
-        raise WitnessError(
+        raise (ValueError if raw_tnf else WitnessError)(
             f"witness does not satisfy the formula: {f!r}; for raw TNF input"
             " this usually means next-step obligations were not guarded by"
             " the Tail marker"
@@ -418,7 +423,7 @@ def solve(f, engine, *, raw_tnf=False, limits=Limits(), dump_dir=None):
         result = naive_check(tnf, limits=limits)
         witness = result.witness_with_tail if raw_tnf else result.witness
         if result.sat:
-            _verified(witness, f)
+            _verified(witness, f, raw_tnf)
         stats = Stats(result.states_expanded, result.sat_calls, 0, time.monotonic() - start,
                       live_clauses=result.live_clauses, table_states=result.table_states)
         return Verdict(result.sat, witness, None, stats)

@@ -128,10 +128,10 @@ def _eval_block(f, names, length, start, count):
     full = (1 << count) - 1
     low = count.bit_length() - 1
     columns = column_masks(low)
-    memo = {}  # by (position, uid): an int hashes without a Python-level call
+    memo = {}  # by (position, node)
 
     def ev(i, g):
-        key = (i, g.uid)
+        key = (i, g)
         got = memo.get(key)
         if got is not None:
             return got

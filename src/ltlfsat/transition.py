@@ -95,39 +95,38 @@ def _table(state):
     if len(columns) > TABLE_ATOMS:
         return None
     full = (1 << (1 << len(columns))) - 1
-    column = {a.uid: mask for a, mask in zip(columns, column_masks(len(columns)))}
-    # by uid, as `Encoder.member` keys its literals: the value of every node
+    column = dict(zip(columns, column_masks(len(columns))))
+    # as `Encoder.member` keeps its literals: the value of every node
     # replayed so far, seeded with the columns and the constants
-    value = {**column, TRUE.uid: full, FALSE.uid: 0}
+    value = {**column, TRUE: full, FALSE: 0}
     sat = full
     for steps, _, _ in recipes:
         for g in steps:
-            uid = g.uid
-            if uid in value:
+            if g in value:
                 continue
             kind = type(g)
             if kind is And:
-                value[uid] = value[g.left.uid] & value[g.right.uid]
+                value[g] = value[g.left] & value[g.right]
             elif kind is Or:
-                value[uid] = value[g.left.uid] | value[g.right.uid]
+                value[g] = value[g.left] | value[g.right]
             else:  # a negated atom
-                value[uid] = value[g.operand.uid] ^ full
-        sat &= value[steps[-1].uid]
+                value[g] = value[g.operand] ^ full
+        sat &= value[steps[-1]]
 
-    bit = {a.uid: 1 << j for j, a in enumerate(columns)}
-    literal_bits = [(a.name, bit[a.uid]) for a in lits]
-    next_bits = [(n.operand, bit[n.uid]) for n in nexts]
+    bit = {a: 1 << j for j, a in enumerate(columns)}
+    literal_bits = [(a.name, bit[a]) for a in lits]
+    next_bits = [(n.operand, bit[n]) for n in nexts]
     bits = (literal_bits, next_bits)
-    tail_rows = sat & column[tail.uid]
+    tail_rows = sat & column[tail]
     if tail_rows:
-        final = _FinalRow(_lowest(tail_rows), bits, bit[tail.uid])
+        final = _FinalRow(_lowest(tail_rows), bits, bit[tail])
     else:
         final = QueryOutcome(None, frozenset(state))
     # one group of satisfying rows per distinct next-atom projection
     groups = [sat] if sat else []
     for a in columns:
         if type(a) is Next:
-            mask = column[a.uid]
+            mask = column[a]
             split = []
             for rows in groups:
                 on = rows & mask

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -403,3 +404,19 @@ def test_member_matches_the_recursive_encoding(seed, picks):
             steps.append((pool_atoms[k % len(pool_atoms)], fix))
         steps.append(pool[k % len(pool)])
     _replay(steps)
+
+
+def test_propositional_walks_return_on_input_deeper_than_the_recursion_limit():
+    depth = 5000
+    assert depth > sys.getrecursionlimit()
+    chain = Atom("deep_a")
+    for _ in range(depth):
+        chain = Next(chain)
+    assert propositional_atoms(chain) == frozenset({chain})
+    assert expanded_atoms(chain) == (frozenset(), frozenset({chain}))
+    names = [Atom(f"wide_{i}") for i in range(depth)]
+    wide = names[0]
+    for atom in names[1:]:
+        wide = And(atom, wide)
+    assert propositional_atoms(wide) == frozenset(names)
+    assert expanded_atoms(wide) == (frozenset(names), frozenset())

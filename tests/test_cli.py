@@ -65,6 +65,29 @@ def test_check_witness_feeds_verify_raw_tnf(tmp_path, capsys):
     assert main(["verify", "--raw-tnf", "-f", formula, "-t", trace]) == EXIT_OK
 
 
+def test_witness_of_one_empty_position_feeds_verify(tmp_path, capsys):
+    # the witness of "! a" is one position with no atom: a single blank line
+    trace = str(tmp_path / "trace.txt")
+    assert main(["check", "--formula", "! a", "--out", trace]) == EXIT_SAT
+    capsys.readouterr()
+    assert main(["verify", "--formula", "! a", "-t", trace]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--raw-tnf"],
+    ["check", "--raw-tnf", "--oracle", "naive"],
+    ["oracle", "--raw-tnf"],
+], ids=["check", "check-naive", "oracle"])
+def test_raw_tnf_with_an_unguarded_next_is_an_input_error(command, capsys):
+    # with no `! Tail` guard, the next obligation of "X a" does not stop the
+    # trace from ending at once, and the one-position witness refutes it
+    code = main([*command, "--formula", "X a"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "error: witness does not satisfy the formula" in err
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_bad_trace(tmp_path, capsys):
     formula = _write(tmp_path, "f.ltlf", "G a\n")
     trace = _write(tmp_path, "t.txt", "a\n\n")

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ltlfsat.formula as formula
+from ltlfsat.abstraction import xnf
+from ltlfsat.bench import gen_random
 from ltlfsat.formula import (
     FALSE,
     TAIL,
@@ -12,6 +14,7 @@ from ltlfsat.formula import (
     Atom,
     FalseConst,
     FiniteTrace,
+    Formula,
     Next,
     Not,
     Or,
@@ -28,6 +31,7 @@ from ltlfsat.formula import (
     is_tnf,
     parse,
     render,
+    subformulas,
     to_nnf,
     to_tnf,
 )
@@ -390,6 +394,10 @@ def test_trace_text_round_trip():
     assert text == "a,b\n\nb\n"
     back = FiniteTrace.from_text(text, trace.alphabet)
     assert back.positions == trace.positions
+    # one empty position is one blank line, and reads back without an alphabet
+    one_empty = FiniteTrace.make([set()])
+    assert one_empty.to_text() == "\n"
+    assert FiniteTrace.from_text(one_empty.to_text()) == one_empty
 
 
 def test_trace_rejects_empty():
@@ -402,3 +410,93 @@ def test_trace_rejects_empty():
 def test_trace_rejects_undeclared_atoms():
     with pytest.raises(ValueError):
         FiniteTrace.make([{"a"}], alphabet=frozenset({"b"}))
+
+
+def _children(g):
+    if isinstance(g, (Not, Next, WeakNext)):
+        return (g.operand,)
+    if isinstance(g, (And, Or, Until, Release)):
+        return (g.left, g.right)
+    return ()
+
+
+def _reference_nodes(g, enter=None, out=None):
+    """The node set `subformulas` should list, by plain recursion."""
+    out = set() if out is None else out
+    if g not in out:
+        out.add(g)
+        if enter is None or enter(g):
+            for child in _children(g):
+                _reference_nodes(child, enter, out)
+    return out
+
+
+_KINDS = (TrueConst, FalseConst, Atom, Not, Next, WeakNext, And, Or, Until, Release)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    length=st.integers(1, 30),
+    entered=st.sets(st.sampled_from(_KINDS)),
+)
+def test_subformulas_lists_each_reachable_node_once(seed, length, entered):
+    f = gen_random(3, length, 0.5, seed)
+    nnf = to_nnf(f)
+    tnf = to_tnf(nnf)
+
+    def enter(g):
+        return type(g) in entered
+
+    for g in (f, nnf, tnf, xnf(tnf)):
+        nodes = subformulas(g)
+        assert nodes[0] is g
+        assert len(set(nodes)) == len(nodes)
+        assert set(nodes) == _reference_nodes(g)
+        some = subformulas(g, enter)
+        assert some[0] is g
+        assert len(set(some)) == len(some)
+        assert set(some) == _reference_nodes(g, enter)
+        # every node but the first hangs directly below an entered node
+        below = {h for k in some if enter(k) for h in _children(k)}
+        assert set(some[1:]) <= below
+
+
+DEPTH = 5000
+
+
+def _next_chain():
+    f = Atom("deep_a")
+    for _ in range(DEPTH):
+        f = Next(f)
+    return f
+
+
+def _and_chain():
+    f = Atom("wide_0")
+    for i in range(1, DEPTH):
+        f = And(Atom(f"wide_{i}"), f)
+    return f
+
+
+def test_read_only_walks_return_on_input_deeper_than_the_recursion_limit():
+    assert DEPTH > sys.getrecursionlimit()
+    chain = _next_chain()
+    assert atoms(chain) == {"deep_a"}
+    assert len(closure(chain)) == DEPTH + 1
+    assert is_tnf(chain) and is_nnf(chain)
+    wide = _and_chain()
+    assert atoms(wide) == {f"wide_{i}" for i in range(DEPTH)}
+    assert len(closure(wide)) == 2 * DEPTH - 1
+    assert is_tnf(wide)
+    assert not is_tnf(WeakNext(wide))
+
+
+def test_nodes_hash_and_compare_by_identity():
+    # a Python-level __hash__ or __eq__ would run on every dict and set
+    # operation keyed by a node
+    classes = [Formula, *Formula.__subclasses__()]
+    assert len(classes) == 1 + len(_KINDS)
+    for cls in classes:
+        assert cls.__hash__ is object.__hash__, cls
+        assert cls.__eq__ is object.__eq__, cls
