@@ -10,6 +10,14 @@ core of frame i whose successors all stay in frame i also joins frame i+1.
 Unsatisfiability is detected syntactically, once every core of some frame
 is subsumed by a core of the next, so no state escapes the frames.
 
+A step query whose answer is already known is not solved again. A run
+keeps, for each state, the assignment of its last sat step query. A
+blocking clause only forbids successors that contain its whole core, so
+that assignment still answers the state under any frame none of whose cores
+lies inside its successor (see `_Run._step`). Pushes reuse it the same way,
+which makes a failed push wait for a core that covers its successor, as in
+triggered clause pushing (Suda, 2013).
+
 Each frame blocks successors in a solver of its own, as in Bradley's IC3,
 so a query propagates through the cores of its frame only. Frame 0 shares
 the run's solver with the final-position queries, whose member encodings it
@@ -17,8 +25,9 @@ would otherwise repeat.
 
 `ConflictSequence` holds the frames, their solvers and the syntactic
 fixpoint test, and `inv_found` is the exact propositional test it implies.
-`Stats.pushes` counts the push queries, which `Stats.sat_calls` includes;
-`Stats.sat_calls` counts the queries of every solver of the run.
+`Stats.sat_calls` counts the queries that reached one of the run's solvers;
+`Stats.pushes` counts the push queries among them. `Stats.reused` counts
+the step queries answered from a stored assignment, which reach no solver.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .abstraction import Encoder
+from .abstraction import Encoder, QueryOutcome
 from .errors import (
     AtomLimitExceeded,
     Deadline,
@@ -39,7 +48,7 @@ from .errors import (
 from .formula import TAIL, FiniteTrace, atoms, closure, is_tnf, to_nnf, to_tnf
 from .satengine import SatSolver
 from .semantics import MAX_BRUTE_ATOMS, brute_force_sat, evaluate
-from .transition import assemble_trace, naive_check, state_of, successor_state
+from .transition import _uid, assemble_trace, naive_check, state_of, successor_state
 
 ENGINES = ("cdlsc", "naive", "brute")
 
@@ -50,7 +59,8 @@ class Stats:
     sat_calls: int = 0
     frames: int = 0
     elapsed: float = 0.0
-    pushes: int = 0  # core-pushing queries, also counted in sat_calls
+    pushes: int = 0  # core-pushing queries that reached a solver, also counted in sat_calls
+    reused: int = 0  # step queries answered from a stored successor, without a solve
     live_clauses: int = 0  # clauses held by all of the run's solvers at the end
     table_states: int = 0  # states the naive engine decided by truth table
 
@@ -94,11 +104,16 @@ class ConflictSequence:
     frames up to i propositionally force frame i+1 and `inv_found`, the
     exact test, holds at some level no greater than i. Core pushing
     (`_Run._push`) is what makes frame i+1 catch up with frame i.
+
+    Each core of a frame is also filed under its lowest-uid member. A core
+    inside a set has that member in the set, so `subsumed` looks only at the
+    cores filed under the set's members and never scans the frame.
     """
 
     def __init__(self, encoder):
         self._encoder = encoder
         self.frames = []
+        self._filed = []  # per frame: lowest-uid member -> the cores filed under it
         self._contexts = []  # per frame: (encoder, activation) once queried
 
     def __len__(self):
@@ -107,6 +122,7 @@ class ConflictSequence:
     def ensure(self, i):
         while len(self.frames) <= i:
             self.frames.append({})
+            self._filed.append({})
             self._contexts.append(None)
 
     def context(self, i):
@@ -129,6 +145,7 @@ class ConflictSequence:
         frame = self.frames[j]
         if core not in frame:
             frame[core] = None
+            self._filed[j].setdefault(min(core, key=_uid), []).append(core)
             context = self._contexts[j]
             if context is not None:
                 context[0].block_core(context[1], core)
@@ -138,9 +155,14 @@ class ConflictSequence:
         own = [c[0] for c in self._contexts[1:] if c is not None]
         return sum(len(e.solver.clauses) for e in [self._encoder, *own])
 
-    def subsumed(self, j, core):
-        """Whether some core of frame j is a subset of core."""
-        return any(d <= core for d in self.frames[j])
+    def subsumed(self, j, members):
+        """Whether some core of frame j is a subset of members."""
+        filed = self._filed[j]
+        for psi in members:
+            cores = filed.get(psi)
+            if cores is not None and any(d <= members for d in cores):
+                return True
+        return False
 
     def fixpoint_level(self):
         """Smallest level i at which frames 0..i are nonempty and every core
@@ -256,7 +278,8 @@ class _Run:
         self.sequence = ConflictSequence(self.encoder)
         self.spine = None
         self.pushes = 0
-        self._failed_pushes = {}  # (level, core) -> size of that frame at the failure
+        self.reused = 0
+        self._last = {}  # state -> assignment of its last sat step query
 
     def _tick(self):
         self.deadline.check()
@@ -312,9 +335,7 @@ class _Run:
         spine = [self.s0]
         while stack:
             state, level = stack[-1]
-            self._tick()
-            encoder, act = self.sequence.context(level)
-            out = encoder.query(state, acts=(act,))
+            out = self._step(state, level)
             if not out.sat:
                 self.sequence.add_core(level + 1, out.core)
                 stack.pop()
@@ -336,29 +357,60 @@ class _Run:
             stack.append((succ, level - 1))
         return None
 
+    def _step(self, state, level):
+        """Step query of state under frame level's blocking clauses.
+
+        The state's last sat step answer is returned again, without a solve,
+        while no core of the frame lies inside its successor (`_reused`).
+        Otherwise the frame's solver answers, and a sat answer is stored.
+        """
+        self._tick()
+        last = self._reused(state, level)
+        if last is not None:
+            self.reused += 1
+            return QueryOutcome(last, None)
+        encoder, act = self.sequence.context(level)
+        out = encoder.query(state, acts=(act,))
+        if out.sat:
+            self._last[state] = out.assignment
+        return out
+
+    def _reused(self, state, level):
+        """The state's last sat step assignment if it still answers the
+        state under frame level, else None.
+
+        It does when no core of the frame is a subset of its next bodies t.
+        Extend the model it came from: next-atoms outside t false, selectors
+        of unassumed members false, definition variables recomputed from
+        their operands. That satisfies every original clause of every
+        frame's solver, since a blocking clause fails only when its whole
+        core lies inside t, and learned clauses follow from the original
+        ones.
+        """
+        last = self._last.get(state)
+        if last is None or self.sequence.subsumed(level, last.next_bodies):
+            return None
+        return last
+
     def _push(self, frame_level):
         """Push cores forward, as IC3's propagation phase does.
 
         For each level i up to frame_level in turn, a core of frame i that
         frame i+1 does not subsume is queried as a state under frame i's
-        activation; if no successor escapes frame i, the query's core joins
-        frame i+1. A failed push is retried only after frame i has grown,
-        since until then the query cannot change its answer.
+        blocking clauses; if no successor escapes frame i, the query's core
+        joins frame i+1. A push that failed reuses its stored successor until
+        a core of frame i covers it (see `_step`), so it reaches a solver
+        again only then; `pushes` counts the ones that do.
         """
         sequence = self.sequence
         for i in range(frame_level + 1):
-            frame = sequence.frames[i]
-            size = len(frame)
-            for core in frame:
-                if self._failed_pushes.get((i, core)) == size or sequence.subsumed(i + 1, core):
+            for core in sequence.frames[i]:
+                if sequence.subsumed(i + 1, core):
                     continue
-                self._tick()
-                self.pushes += 1
-                encoder, act = sequence.context(i)
-                out = encoder.query(core, acts=(act,))
-                if out.sat:
-                    self._failed_pushes[(i, core)] = size
-                else:
+                calls = self.encoder.sat_calls
+                out = self._step(core, i)
+                self.pushes += self.encoder.sat_calls - calls
+                if not out.sat:
                     sequence.add_core(i + 1, out.core)
 
     def _stats(self, start):
@@ -368,6 +420,7 @@ class _Run:
             frames=len(self.sequence),
             elapsed=time.monotonic() - start,
             pushes=self.pushes,
+            reused=self.reused,
             live_clauses=self.sequence.live_clauses(),
         )
 

@@ -27,7 +27,7 @@ from ltlfsat.errors import (
     TimeoutExceeded,
     TraceBoundExceeded,
 )
-from ltlfsat.abstraction import Assignment, Encoder, propositional_atoms
+from ltlfsat.abstraction import Assignment, Encoder, propositional_atoms, xnf
 from ltlfsat.formula import (
     TAIL,
     Atom,
@@ -45,6 +45,7 @@ from ltlfsat.formula import (
 )
 from ltlfsat.semantics import evaluate
 from ltlfsat.transition import NaiveResult, build_full_system, naive_check
+from test_transition import _holds
 
 a, b, tail = Atom("a"), Atom("b"), Atom(TAIL)
 
@@ -178,6 +179,36 @@ def test_syntactic_fixpoint_implies_inv_found(steps):
                 assert found is not None and found <= level, frames
         else:
             sequence.add_core(*step)
+
+
+def _linear_fixpoint_level(frames):
+    for i in range(len(frames) - 1):
+        if not frames[i]:
+            return None
+        if all(_covered(frames[i + 1], core) for core in frames[i]):
+            return i
+    return None
+
+
+_SUBSETS = [frozenset(m for k, m in enumerate(_MEMBERS) if bits >> k & 1)
+            for bits in range(1 << len(_MEMBERS))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_STEPS)
+def test_subsumption_index_answers_as_a_frame_scan(steps):
+    """Random grow-only frames, queried at random points: the indexed
+    `subsumed` and `fixpoint_level` give the answers of a linear scan."""
+    sequence = ConflictSequence(Encoder())
+    for step in steps + [None]:
+        if step is not None:
+            sequence.add_core(*step)
+            continue
+        frames = sequence.frames
+        assert sequence.fixpoint_level() == _linear_fixpoint_level(frames)
+        for j, frame in enumerate(frames):
+            for members in _SUBSETS:
+                assert sequence.subsumed(j, members) == _covered(frame, members), (j, members)
 
 
 def _pushed_cores(f):
@@ -322,6 +353,56 @@ def test_pushes_are_counted():
     assert not verdict.sat
     assert verdict.stats.pushes > 0
     assert verdict.invariant_level == inv_found(verdict.frames)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_chain_pushes_reach_a_solver_at_most_once_per_frame(n):
+    """On `X^n a` every push fails. A failed push waits for a core that
+    covers its stored successor, so the run solves at most n of them."""
+    verdict = check(parse("X " * n + "a"))
+    assert verdict.sat and verdict.stats.frames == n
+    assert verdict.stats.pushes <= n
+    assert verdict.stats.reused > 0
+
+
+def test_reused_queries_do_not_count_towards_the_sat_call_limit():
+    f = parse("X " * 10 + "a")
+    stats = check(f).stats
+    assert stats.reused > stats.sat_calls
+    again = check(f, limits=Limits(max_sat_calls=stats.sat_calls)).stats
+    assert (again.sat_calls, again.reused) == (stats.sat_calls, stats.reused)
+
+
+def _checked_reuse(f):
+    """Decide f, checking every step answer taken from a stored successor:
+    the frame's solver finds the same query sat, every member's expanded
+    form holds under the stored assignment, and no core of the frame lies
+    inside its successor. Returns the verdict and the number of reuses."""
+    reused = []
+    lookup = cdlsc._Run._reused
+
+    def checked(run, state, level):
+        last = lookup(run, state, level)
+        if last is not None:
+            reused.append(state)
+            encoder, act = run.sequence.context(level)
+            assert encoder.query(state, acts=(act,)).sat, (f, state, level)
+            values = dict(last.literals)
+            assert all(_holds(xnf(psi), values, last.next_bodies) for psi in state), (f, state)
+            assert not _covered(run.sequence.frames[level], last.next_bodies), (f, state, level)
+        return last
+
+    with mock.patch.object(cdlsc._Run, "_reused", checked):
+        verdict = check(f)
+    return verdict, len(reused)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3), st.integers(6, 12), st.integers(0, 10**6))
+def test_reused_step_answers_are_models_of_the_query(nvars, length, seed):
+    f = gen_random(nvars, length, 0.9, seed)
+    verdict, _ = _checked_reuse(f)
+    assert verdict.sat == naive_check(to_tnf(to_nnf(f))).sat, f
 
 
 def test_agreement_with_naive_on_random_sample():
@@ -485,7 +566,7 @@ def test_clause_dumps_number_every_query_of_the_run(tmp_path):
 
     with mock.patch.object(Encoder, "query", counting_query):
         verdict = check(parse("X X X X a & G (a -> X !a) & F (b & X b)"), dump_dir=tmp_path)
-    assert verdict.sat and verdict.stats.frames > 2
+    assert verdict.sat and verdict.stats.frames > 2 and verdict.stats.reused > 0
     assert verdict.stats.sat_calls == queries.count(False)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == [f"query{i:05d}.cnf" for i in range(1, verdict.stats.sat_calls + 1)]
@@ -520,6 +601,14 @@ def test_deep_instances_keep_their_verdicts_and_frames(name):
     assert (verdict.sat, verdict.stats.frames, verdict.invariant_level) == (sat, frames, level)
     if not sat:
         assert inv_found(verdict.frames) <= level
+
+
+@pytest.mark.parametrize("name", ["chain-10", "eventualities-4", "eventualities-5"])
+def test_reused_step_answers_on_deep_instances_are_models(name):
+    text, sat, frames, level = _DEEP_SEED_1[name]
+    verdict, reused = _checked_reuse(parse(text))
+    assert (verdict.sat, verdict.stats.frames, verdict.invariant_level) == (sat, frames, level)
+    assert reused > 0 and verdict.stats.reused == reused
 
 
 class _Hang(Exception):

@@ -144,10 +144,10 @@ def test_oracle_reports_skipped_brute(capsys):
 
 def test_check_stats_line_counts_pushes(capsys):
     assert main(["check", "--formula", "p & ! p"]) == EXIT_UNSAT
-    assert "pushes=0" in capsys.readouterr().out
+    assert "pushes=0 reused=0" in capsys.readouterr().out
     text = "F p1 & F p2 & G !(p1 & p2) & !(X true)"
     assert main(["check", "--formula", text]) == EXIT_UNSAT
-    assert re.search(r"pushes=[1-9]", capsys.readouterr().out)
+    assert re.search(r"pushes=[1-9]\d* reused=[1-9]", capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("engine, text, code", [
