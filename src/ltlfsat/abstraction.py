@@ -34,7 +34,9 @@ from .formula import (
     TrueConst,
     Until,
     WeakNext,
+    by_uid,
     conjuncts,
+    fold,
     subformulas,
 )
 from .satengine import SatSolver
@@ -81,29 +83,24 @@ def xnf(f):
     """Expand until/release one step so only literals and next-atoms remain
     in the propositional reading. The result is equivalent to f.
     """
-    got = _XNF_CACHE.get(f)
-    if got is not None:
-        return got
-    if isinstance(f, (TrueConst, FalseConst, Atom, Next)):
-        out = f
-    elif isinstance(f, Not):
-        if not isinstance(f.operand, Atom):
-            raise ValueError(f"negation above a non-atom; not in NNF: {f!r}")
-        out = f
-    elif isinstance(f, WeakNext):
-        raise ValueError(f"weak-next in input; expected a TNF formula: {f!r}")
-    elif isinstance(f, And):
-        out = And(xnf(f.left), xnf(f.right))
-    elif isinstance(f, Or):
-        out = Or(xnf(f.left), xnf(f.right))
-    elif isinstance(f, Until):
-        out = Or(xnf(f.right), And(xnf(f.left), Next(f)))
-    elif isinstance(f, Release):
-        out = And(xnf(f.right), Or(xnf(f.left), Next(f)))
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    _XNF_CACHE[f] = out
-    return out
+    return fold(_XNF_CACHE, f, _xnf_parts)
+
+
+def _xnf_parts(memo, g):
+    """`fold`'s parts of xnf(g): an until or release expands its right
+    operand first, as `Or(xnf(right), And(xnf(left), Next(g)))` does."""
+    kind = type(g)
+    if kind is And or kind is Or:
+        return ((memo, g.left), (memo, g.right)), kind
+    if kind is Until:
+        return ((memo, g.right), (memo, g.left)), lambda r, l: Or(r, And(l, Next(g)))
+    if kind is Release:
+        return ((memo, g.right), (memo, g.left)), lambda r, l: And(r, Or(l, Next(g)))
+    if kind is Not and type(g.operand) is not Atom:
+        raise ValueError(f"negation above a non-atom; not in NNF: {g!r}")
+    if kind is WeakNext:
+        raise ValueError(f"weak-next in input; expected a TNF formula: {g!r}")
+    return (), lambda: g  # constants, literals and next-atoms
 
 
 # Encoding recipe of every member encoded so far in this process, keyed by
@@ -278,17 +275,17 @@ class Encoder:
     def block_core(self, act, core):
         """Forbid successors that contain every member of the core."""
         clause = [-act]
-        clause.extend(-self.atom_var(Next(psi)) for psi in sorted(core, key=lambda g: g.uid))
+        clause.extend(-self.atom_var(Next(psi)) for psi in sorted(core, key=by_uid))
         self.solver.add_clause(clause)
 
     def block_assignment(self, act, assignment, lit_atoms, next_atoms):
         """Forbid this exact assignment over the relevant atoms."""
         values = dict(assignment.literals)
         clause = [-act]
-        for a in sorted(lit_atoms, key=lambda g: g.uid):
+        for a in sorted(lit_atoms, key=by_uid):
             v = self.atom_var(a)
             clause.append(-v if values[a.name] else v)
-        for n in sorted(next_atoms, key=lambda g: g.uid):
+        for n in sorted(next_atoms, key=by_uid):
             v = self.atom_var(n)
             clause.append(-v if n.operand in assignment.next_bodies else v)
         self.solver.add_clause(clause)
@@ -318,7 +315,7 @@ class Encoder:
         relevant atoms (plus Tail for final-position queries); unsatisfiable
         ones return the member core, re-checked in isolation.
         """
-        members = sorted(state, key=lambda g: g.uid)
+        members = sorted(state, key=by_uid)
         entries = [self.member(psi) for psi in members]
         assumptions = [p for p, _, _ in entries]
         assumptions.extend(acts)

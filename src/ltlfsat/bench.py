@@ -89,37 +89,37 @@ def gen_random(vars, length, temporal_prob, seed):
     rng = random.Random(seed)
     names = [f"p{i}" for i in range(vars)]
     threshold = round(temporal_prob * _PROB_SCALE)
-
-    def draw(budget):
-        if budget == 1:
-            return Atom(names[rng.randrange(len(names))])
-        temporal = rng.randrange(_PROB_SCALE) < threshold
-        if temporal:
-            ops = ["X", "G", "F"] if budget == 2 else ["X", "G", "F", "U", "R"]
+    # Budgets still to draw, and drawn operators waiting for their operands:
+    # a node's random choices come before its operands', left before right,
+    # and the node is made after them, as in a recursive draw.
+    stack = [length]
+    made = []
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            arity = 1 if item in "!XGF" else 2
+            operands = made[-arity:]
+            del made[-arity:]
+            made.append(_DRAWN[item](*operands))
+        elif item == 1:
+            made.append(Atom(names[rng.randrange(len(names))]))
         else:
-            ops = ["!"] if budget == 2 else ["!", "&", "|"]
-        op = ops[rng.randrange(len(ops))]
-        if op in ("!", "X", "G", "F"):
-            child = draw(budget - 1)
-            if op == "!":
-                return Not(child)
-            if op == "X":
-                return Next(child)
-            if op == "G":
-                return _globally(child)
-            return _eventually(child)
-        left_budget = rng.randrange(1, budget - 1)
-        left = draw(left_budget)
-        right = draw(budget - 1 - left_budget)
-        if op == "&":
-            return And(left, right)
-        if op == "|":
-            return Or(left, right)
-        if op == "U":
-            return Until(left, right)
-        return Release(left, right)
+            if rng.randrange(_PROB_SCALE) < threshold:
+                ops = "XGF" if item == 2 else "XGFUR"
+            else:
+                ops = "!" if item == 2 else "!&|"
+            op = ops[rng.randrange(len(ops))]
+            stack.append(op)
+            if op in "!XGF":
+                stack.append(item - 1)
+            else:
+                left = rng.randrange(1, item - 1)
+                stack += (item - 1 - left, left)
+    return made.pop()
 
-    return draw(length)
+
+_DRAWN = {"!": Not, "X": Next, "G": _globally, "F": _eventually,
+          "&": And, "|": Or, "U": Until, "R": Release}
 
 
 def surface_length(f):
@@ -129,17 +129,21 @@ def surface_length(f):
     left sides do not count; generated formulas never contain free-standing
     constants.
     """
-    if isinstance(f, Atom):
-        return 1
-    if isinstance(f, (TrueConst, FalseConst)):
-        raise ValueError("free-standing constant in a generated formula")
-    if isinstance(f, (Not, Next)):
-        return 1 + surface_length(f.operand)
-    if isinstance(f, Release) and isinstance(f.left, FalseConst):
-        return 1 + surface_length(f.right)
-    if isinstance(f, Until) and isinstance(f.left, TrueConst):
-        return 1 + surface_length(f.right)
-    return 1 + surface_length(f.left) + surface_length(f.right)
+    count = 0
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        count += 1
+        kind = type(g)
+        if kind is TrueConst or kind is FalseConst:
+            raise ValueError("free-standing constant in a generated formula")
+        if kind is Not or kind is Next:
+            stack.append(g.operand)
+        elif (kind is Release and g.left is FALSE) or (kind is Until and g.left is TRUE):
+            stack.append(g.right)
+        elif kind is not Atom:
+            stack += (g.left, g.right)
+    return count
 
 
 def gen_pattern(name, n):

@@ -45,10 +45,10 @@ from .errors import (
     SatCallLimitExceeded,
     TraceBoundExceeded,
 )
-from .formula import TAIL, FiniteTrace, atoms, closure, is_tnf, to_nnf, to_tnf
+from .formula import TAIL, And, FiniteTrace, atoms, by_uid, closure, is_tnf, parse, to_nnf, to_tnf
 from .satengine import SatSolver
 from .semantics import MAX_BRUTE_ATOMS, brute_force_sat, evaluate
-from .transition import _uid, assemble_trace, naive_check, state_of, successor_state
+from .transition import assemble_trace, naive_check, state_of, successor_state
 
 ENGINES = ("cdlsc", "naive", "brute")
 
@@ -145,7 +145,7 @@ class ConflictSequence:
         frame = self.frames[j]
         if core not in frame:
             frame[core] = None
-            self._filed[j].setdefault(min(core, key=_uid), []).append(core)
+            self._filed[j].setdefault(min(core, key=by_uid), []).append(core)
             context = self._contexts[j]
             if context is not None:
                 context[0].block_core(context[1], core)
@@ -260,6 +260,12 @@ def normalise(f, raw_tnf=False):
             raise ValueError("raw TNF input must be NNF and weak-next-free")
         return f
     return to_tnf(to_nnf(f))
+
+
+def brute_target(f, raw_tnf=False):
+    """The formula brute force decides for f: with raw_tnf, f and that Tail
+    holds at the last position only, as in the other engines' models."""
+    return And(f, parse(f"G ({TAIL} <-> ! X true)")) if raw_tnf else f
 
 
 class _Run:
@@ -480,11 +486,12 @@ def solve(f, engine, *, raw_tnf=False, limits=Limits(), dump_dir=None):
         stats = Stats(result.states_expanded, result.sat_calls, 0, time.monotonic() - start,
                       live_clauses=result.live_clauses, table_states=result.table_states)
         return Verdict(result.sat, witness, None, stats)
-    count = len(atoms(f))
+    target = brute_target(f, raw_tnf)
+    count = len(atoms(target))
     if count > MAX_BRUTE_ATOMS:
         raise AtomLimitExceeded(count, MAX_BRUTE_ATOMS)
     start = time.monotonic()
-    witness = brute_force_sat(f, limits.brute_bound, timeout=limits.timeout)
+    witness = brute_force_sat(target, limits.brute_bound, timeout=limits.timeout)
     if witness is None:
         raise TraceBoundExceeded(limits.brute_bound)
     return Verdict(True, witness, None, Stats(elapsed=time.monotonic() - start))

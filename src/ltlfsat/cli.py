@@ -11,9 +11,9 @@ import sys
 from dataclasses import fields
 
 from . import bench as benchmod
-from .cdlsc import ENGINES, normalise, solve
+from .cdlsc import ENGINES, brute_target, normalise, solve
 from .errors import Limits, ResourceAbort
-from .formula import FiniteTrace, ParseError, atoms, parse
+from .formula import FiniteTrace, atoms, parse
 from .semantics import MAX_BRUTE_ATOMS, brute_force_sat, evaluate
 from .transition import brute_bound, build_full_system, export_dot
 
@@ -157,13 +157,14 @@ def _cmd_oracle(args):
         engine: solve(original, engine, raw_tnf=args.raw_tnf, limits=limits).sat
         for engine in ("cdlsc", "naive")
     }
-    count = len(atoms(original))
+    target = brute_target(original, args.raw_tnf)
+    count = len(atoms(target))
     if count <= MAX_BRUTE_ATOMS:
         # brute force is complete only up to the system's witness-length bound
         full = build_full_system(normalise(original, args.raw_tnf), exhaustive=True,
                                  limits=limits)
-        bound = brute_bound(original, full)
-        witness = brute_force_sat(original, bound, timeout=limits.timeout)
+        bound = brute_bound(target, full)
+        witness = brute_force_sat(target, bound, timeout=limits.timeout)
         verdicts["brute"] = witness is not None
     for name, sat in verdicts.items():
         print(f"{name}: {'sat' if sat else 'unsat'}")
@@ -258,7 +259,7 @@ def main(argv=None):
     except ResourceAbort as abort:
         print(f"aborted: {abort}", file=sys.stderr)
         return EXIT_ABORT
-    except (ParseError, ValueError, OSError, RecursionError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

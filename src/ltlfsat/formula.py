@@ -7,19 +7,28 @@ and `b & a` build the same node. `Tail` is a reserved atom marking the last
 position of a trace; user formulas may not mention it unless they are fed
 through the raw-TNF entry points. Because nodes are interned, the normal
 forms (`to_nnf`, `to_tnf`) are cached per node for the life of the process.
+
+No walk over a formula recurses: the read-only passes list the DAG with
+`subformulas`, the rewrites are built on `fold`, and `render`, `conjuncts`
+and `parse` keep explicit stacks. So input depth and width are bounded by
+memory and time only.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-import sys
 from dataclasses import dataclass
+from operator import attrgetter
 
 TAIL = "Tail"
 
 _INTERN: dict = {}
 _UID = itertools.count(1)
+
+# Sort key of creation order. A node's operands exist before it, so this
+# order lists every node after its operands.
+by_uid = attrgetter("uid")
 
 
 class Formula:
@@ -149,10 +158,6 @@ _BINARY = frozenset({And, Or, Until, Release})
 _UNARY = frozenset({Not, Next, WeakNext})
 
 
-def is_literal(f):
-    return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.operand, Atom))
-
-
 def subformulas(f, enter=None):
     """The distinct nodes of f's DAG as a list, f first.
 
@@ -203,28 +208,76 @@ def closure(f):
 
 
 def conjuncts(f):
-    """Top-level conjuncts of f, splitting nested conjunctions."""
-    if isinstance(f, And):
-        return conjuncts(f.left) + conjuncts(f.right)
-    return (f,)
+    """Top-level conjuncts of f, splitting nested conjunctions, left first."""
+    out = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is And:
+            stack += (g.right, g.left)
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+# what `render` writes before a unary operand or between two binary ones
+_TEXT = {Not: "! (", Next: "X (", WeakNext: "N (",
+         And: ") & (", Or: ") | (", Until: ") U (", Release: ") R ("}
 
 
 def render(f):
     """Serialize f; the output re-parses to the same node."""
-    if isinstance(f, TrueConst):
-        return "true"
-    if isinstance(f, FalseConst):
-        return "false"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        return f"! ({render(f.operand)})"
-    if isinstance(f, Next):
-        return f"X ({render(f.operand)})"
-    if isinstance(f, WeakNext):
-        return f"N ({render(f.operand)})"
-    op = {And: "&", Or: "|", Until: "U", Release: "R"}[type(f)]
-    return f"({render(f.left)}) {op} ({render(f.right)})"
+    out = []
+    stack = [f]  # nodes still to write, and the text between them
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if kind is str:
+            out.append(g)
+        elif kind is Atom:
+            out.append(g.name)
+        elif kind in _UNARY:
+            out.append(_TEXT[kind])
+            stack += (")", g.operand)
+        elif kind in _BINARY:
+            out.append("(")
+            stack += (")", g.right, _TEXT[kind], g.left)
+        else:
+            out.append("true" if kind is TrueConst else "false")
+    return "".join(out)
+
+
+def fold(memo, f, expand):
+    """`memo[f]` of a memoised post-order fold over f's DAG, without recursion.
+
+    For a node g that `memo` lacks, `expand(memo, g)` returns (parts, make):
+    the (memo, node) pairs g's value is made from, none, one or two, and the
+    function that makes it from their values. Parts are filled in one after
+    another, in order, and `make` runs after the last, so a rewrite makes its
+    nodes in the order, and with the uids, of a recursion over the same parts.
+    """
+    got = memo.get(f)
+    if got is not None:
+        return got
+    stack = [(memo, f, None, None)]
+    while stack:
+        m, g, parts, make = stack.pop()
+        if parts is not None:  # every part is filled in
+            if len(parts) == 1:
+                [(m1, g1)] = parts
+                m[g] = make(m1[g1])
+            else:
+                (m1, g1), (m2, g2) = parts
+                m[g] = make(m1[g1], m2[g2])
+        elif g not in m:
+            parts, make = expand(m, g)
+            if parts:
+                stack.append((m, g, parts, make))
+                for pm, pg in reversed(parts):
+                    stack.append((pm, pg, None, None))
+            else:
+                m[g] = make()
+    return memo[f]
 
 
 # Normal forms of every node normalised so far in this process, keyed by
@@ -235,62 +288,27 @@ _NNF_NEG = {}  # node -> the negation normal form of its negation
 _TNF_CACHE = {}  # NNF node -> its tail-marked form, without the Tail obligation
 
 
+_DUAL = {And: Or, Or: And, Next: WeakNext, WeakNext: Next, Until: Release, Release: Until}
+
+
 def to_nnf(f):
     """Equivalent formula with negation pushed down to the atoms."""
-    pos_memo = _NNF_POS
-    neg_memo = _NNF_NEG
+    pos, neg = _NNF_POS, _NNF_NEG
 
-    def pos(g):
-        got = pos_memo.get(g)
-        if got is not None:
-            return got
-        if isinstance(g, (TrueConst, FalseConst, Atom)):
-            out = g
-        elif isinstance(g, Not):
-            out = neg(g.operand)
-        elif isinstance(g, And):
-            out = And(pos(g.left), pos(g.right))
-        elif isinstance(g, Or):
-            out = Or(pos(g.left), pos(g.right))
-        elif isinstance(g, Next):
-            out = Next(pos(g.operand))
-        elif isinstance(g, WeakNext):
-            out = WeakNext(pos(g.operand))
-        elif isinstance(g, Until):
-            out = Until(pos(g.left), pos(g.right))
-        else:
-            out = Release(pos(g.left), pos(g.right))
-        pos_memo[g] = out
-        return out
+    def expand(memo, g):
+        kind = type(g)
+        if kind is Not:
+            return ((neg if memo is pos else pos, g.operand),), lambda h: h
+        make = kind if memo is pos else _DUAL.get(kind)
+        if kind in _BINARY:
+            return ((memo, g.left), (memo, g.right)), make
+        if kind in _UNARY:
+            return ((memo, g.operand),), make
+        if memo is pos:
+            return (), lambda: g
+        return (), lambda: Not(g) if kind is Atom else FALSE if kind is TrueConst else TRUE
 
-    def neg(g):
-        got = neg_memo.get(g)
-        if got is not None:
-            return got
-        if isinstance(g, TrueConst):
-            out = FALSE
-        elif isinstance(g, FalseConst):
-            out = TRUE
-        elif isinstance(g, Atom):
-            out = Not(g)
-        elif isinstance(g, Not):
-            out = pos(g.operand)
-        elif isinstance(g, And):
-            out = Or(neg(g.left), neg(g.right))
-        elif isinstance(g, Or):
-            out = And(neg(g.left), neg(g.right))
-        elif isinstance(g, Next):
-            out = WeakNext(neg(g.operand))
-        elif isinstance(g, WeakNext):
-            out = Next(neg(g.operand))
-        elif isinstance(g, Until):
-            out = Release(neg(g.left), neg(g.right))
-        else:
-            out = Until(neg(g.left), neg(g.right))
-        neg_memo[g] = out
-        return out
-
-    return pos(f)
+    return fold(pos, f, expand)
 
 
 class ReservedAtomError(ValueError):
@@ -333,31 +351,30 @@ def to_tnf(f):
     tail = Atom(TAIL)
     not_tail = Not(tail)
     memo = _TNF_CACHE
+    # the guards of an until's and a release's left operand, each with its
+    # own memo, so that each is made before the right operand's form
+    until_guard = {}
+    release_guard = {}
 
-    def t(g):
-        got = memo.get(g)
-        if got is not None:
-            return got
-        if isinstance(g, (TrueConst, FalseConst)) or is_literal(g):
-            out = g
-        elif isinstance(g, Next):
-            out = And(not_tail, Next(t(g.operand)))
-        elif isinstance(g, WeakNext):
-            out = Or(tail, Next(t(g.operand)))
-        elif isinstance(g, And):
-            out = And(t(g.left), t(g.right))
-        elif isinstance(g, Or):
-            out = Or(t(g.left), t(g.right))
-        elif isinstance(g, Until):
-            out = Until(And(not_tail, t(g.left)), t(g.right))
-        elif isinstance(g, Release):
-            out = Release(Or(tail, t(g.left)), t(g.right))
-        else:
-            raise ValueError(f"unexpected node in NNF input: {g!r}")
-        memo[g] = out
-        return out
+    def expand(m, g):
+        if m is until_guard:
+            return ((memo, g),), lambda h: And(not_tail, h)
+        if m is release_guard:
+            return ((memo, g),), lambda h: Or(tail, h)
+        kind = type(g)
+        if kind is Next:
+            return ((memo, g.operand),), lambda h: And(not_tail, Next(h))
+        if kind is WeakNext:
+            return ((memo, g.operand),), lambda h: Or(tail, Next(h))
+        if kind is Until:
+            return ((until_guard, g.left), (memo, g.right)), Until
+        if kind is Release:
+            return ((release_guard, g.left), (memo, g.right)), Release
+        if kind is And or kind is Or:
+            return ((memo, g.left), (memo, g.right)), kind
+        return (), lambda: g  # constants and literals
 
-    return And(t(f), Until(TRUE, tail))
+    return And(fold(memo, f, expand), Until(TRUE, tail))
 
 
 @dataclass(frozen=True)
@@ -492,24 +509,18 @@ def parse(text):
     Operators, loosest first: `<->`, `->`, `|`, `&`, `U`, `R`, all
     right-associative; the prefix operators `!`, `X`, `N`, `G` and `F` bind
     tightest. The parser is an operator-precedence loop over an explicit
-    stack, so it uses no recursion. More than `sys.getrecursionlimit()`
-    pending operators (open parentheses, prefix operators and unreduced
-    binary operators, as in a long flat chain of `&`) is a ParseError,
-    because the recursive passes over the resulting formula would exceed
-    the interpreter's recursion limit.
+    stack, so it uses no recursion, and nesting depth and width are bounded
+    by memory only.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise _error("empty input", text, 0)
     tokens.append("")
-    limit = sys.getrecursionlimit()
     ops = []  # pending prefix and binary operators and open parentheses
     lhs = []  # left operands of the pending binary operators
     pos = 0
     while True:
         # an operand: prefix operators and parentheses, then a word
-        if len(ops) > limit:
-            raise _error("formula nested too deeply to parse", text, pos - 1)
         tok = tokens[pos]
         pos += 1
         if tok in _PREFIX or tok == "(":

@@ -24,6 +24,8 @@ from .formula import (
     Until,
     WeakNext,
     atoms,
+    by_uid,
+    subformulas,
 )
 
 MAX_BRUTE_ATOMS = 4
@@ -51,59 +53,76 @@ def column_masks(k):
 def evaluate(trace, f):
     """Truth of the trace against f, by the defining semantic clauses.
 
-    Weak-next and release are evaluated through their duals: weak-next holds
-    at the last position, release demands its right side until the left has
-    held.
+    Every node is evaluated at every position at once (see `_truth`).
+    Weak-next holds at the last position; release, which demands its right
+    side until the left has held, is evaluated through its until dual.
     """
-    missing = atoms(f) - trace.alphabet
+    nodes = subformulas(f)
+    missing = {g.name for g in nodes if type(g) is Atom} - trace.alphabet
     if missing:
         raise ValueError(f"atoms not declared in the trace alphabet: {sorted(missing)}")
-    n = len(trace)
-    memo = {}
+    bits = dict.fromkeys(trace.alphabet, 0)
+    for i, position in enumerate(trace.positions):
+        for name in position:
+            bits[name] |= 1 << i
+    return bool(_truth(nodes, len(trace), 1, bits) & 1)
 
-    def ev(i, g):
-        key = (i, g)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(g, TrueConst):
-            out = True
-        elif isinstance(g, FalseConst):
-            out = False
-        elif isinstance(g, Atom):
-            out = g.name in trace.positions[i]
-        elif isinstance(g, Not):
-            out = not ev(i, g.operand)
-        elif isinstance(g, And):
-            out = ev(i, g.left) and ev(i, g.right)
-        elif isinstance(g, Or):
-            out = ev(i, g.left) or ev(i, g.right)
-        elif isinstance(g, Next):
-            out = i + 1 < n and ev(i + 1, g.operand)
-        elif isinstance(g, WeakNext):
-            out = i + 1 >= n or ev(i + 1, g.operand)
-        elif isinstance(g, Until):
-            out = False
-            for k in range(i, n):
-                if ev(k, g.right):
-                    out = True
-                    break
-                if not ev(k, g.left):
-                    break
-        elif isinstance(g, Release):
-            out = True
-            for k in range(i, n):
-                if not ev(k, g.right):
-                    out = False
-                    break
-                if ev(k, g.left):
-                    break
+
+def _truth(nodes, length, width, atom_bits):
+    """The truth of the first of `nodes` (a `subformulas` list) over a
+    trace of `length` positions, `width` bits per position.
+
+    Bits i * width up to (i + 1) * width of a value hold a node's truth at
+    position i; `atom_bits` maps each atom name to its value. The pass
+    visits the nodes in uid order, so every node after its operands, and
+    keeps one value per node: no recursion.
+    """
+    full = (1 << length * width) - 1
+    last = full ^ (full >> width)  # the bits of the last position
+    value = {}
+    for g in sorted(nodes, key=by_uid):
+        kind = type(g)
+        if kind is Atom:
+            out = atom_bits[g.name]
+        elif kind is And:
+            out = value[g.left] & value[g.right]
+        elif kind is Or:
+            out = value[g.left] | value[g.right]
+        elif kind is Not:
+            out = value[g.operand] ^ full
+        elif kind is Next:
+            out = value[g.operand] >> width
+        elif kind is WeakNext:
+            out = value[g.operand] >> width | last
+        elif kind is Until:
+            out = _until(value[g.left], value[g.right], length, width)
+        elif kind is Release:
+            out = _until(value[g.left] ^ full, value[g.right] ^ full, length, width) ^ full
+        elif kind is TrueConst:
+            out = full
+        elif kind is FalseConst:
+            out = 0
         else:
             raise TypeError(f"not a formula: {g!r}")
-        memo[key] = out
-        return out
+        value[g] = out
+    return value[nodes[0]]
 
-    return ev(0, f)
+
+def _until(left, right, length, width):
+    """The truth of `left U right` from its operands', laid out as in
+    `_truth`. A round that shifts by s positions extends every window in
+    which the until is decided from s to 2s positions, so a trace of n
+    positions takes about log2(n) rounds: `out` holds where right holds in
+    the window with left at every position before it, and `through` where
+    left holds in all of the window.
+    """
+    out, through = right, left
+    shift = width
+    while shift < length * width:
+        out |= through & (out >> shift)
+        through &= through >> shift
+        shift <<= 1
+    return out
 
 
 def _decode_positions(names, length, index):
@@ -125,58 +144,20 @@ def _eval_block(f, names, length, start, count):
     any higher bit is bit b of `start` throughout the block.
     """
     m = len(names)
-    full = (1 << count) - 1
+    block = (1 << count) - 1
     low = count.bit_length() - 1
     columns = column_masks(low)
-    memo = {}  # by (position, node)
-
-    def ev(i, g):
-        key = (i, g)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(g, TrueConst):
-            out = full
-        elif isinstance(g, FalseConst):
-            out = 0
-        elif isinstance(g, Atom):
-            b = (length - 1 - i) * m + names.index(g.name)
+    bits = {}
+    for j, name in enumerate(names):
+        out = 0
+        for i in range(length):
+            b = (length - 1 - i) * m + j
             if b < low:
-                out = columns[b]
-            else:
-                out = full if start >> b & 1 else 0
-        elif isinstance(g, Not):
-            out = ev(i, g.operand) ^ full
-        elif isinstance(g, And):
-            out = ev(i, g.left) & ev(i, g.right)
-        elif isinstance(g, Or):
-            out = ev(i, g.left) | ev(i, g.right)
-        elif isinstance(g, Next):
-            out = ev(i + 1, g.operand) if i + 1 < length else 0
-        elif isinstance(g, WeakNext):
-            out = ev(i + 1, g.operand) if i + 1 < length else full
-        elif isinstance(g, Until):
-            out = 0
-            holds = full
-            for k in range(i, length):
-                out |= holds & ev(k, g.right)
-                holds &= ev(k, g.left)
-                if not holds:
-                    break
-        elif isinstance(g, Release):
-            out = full
-            released = 0
-            for k in range(i, length):
-                out &= released | ev(k, g.right)
-                released |= ev(k, g.left)
-                if released == full:
-                    break
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        memo[key] = out
-        return out
-
-    return ev(0, f)
+                out |= columns[b] << i * count
+            elif start >> b & 1:
+                out |= block << i * count
+        bits[name] = out
+    return _truth(subformulas(f), length, count, bits) & block
 
 
 def brute_force_sat(f, max_len, *, timeout=None):

@@ -38,6 +38,7 @@ from .formula import (
     Next,
     Or,
     atoms,
+    by_uid,
     conjuncts,
     is_tnf,
     render,
@@ -52,10 +53,6 @@ from .semantics import column_masks
 TABLE_ATOMS = 14
 
 TRUE_STATE = frozenset({TRUE})
-
-
-def _uid(g):
-    return g.uid
 
 
 def state_of(f):
@@ -85,13 +82,13 @@ def _table(state):
     None when the state has more than TABLE_ATOMS relevant atoms. A sat
     final outcome is a `_FinalRow`.
     """
-    recipes = [_recipe(psi) for psi in sorted(state, key=_uid)]
+    recipes = [_recipe(psi) for psi in sorted(state, key=by_uid)]
     tail = Atom(TAIL)
     lits, nexts = set(), set()
     for _, member_lits, member_nexts in recipes:
         lits |= member_lits
         nexts |= member_nexts
-    columns = sorted(lits | nexts | {tail}, key=_uid)
+    columns = sorted(lits | nexts | {tail}, key=by_uid)
     if len(columns) > TABLE_ATOMS:
         return None
     full = (1 << (1 << len(columns))) - 1

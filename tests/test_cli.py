@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ltlfsat
 from ltlfsat.bench import BenchSpec
 from ltlfsat.cli import (
     EXIT_ABORT,
@@ -194,15 +199,43 @@ def test_parse_error_reports_position(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("text", [
-    " & ".join(["a"] * 1999 + ["b"]),
-    "(" * 3000 + "a" + ")" * 3000,
-], ids=["flat-conjunction", "nested-parentheses"])
-def test_deep_input_is_an_input_error(tmp_path, capsys, text):
+_DEPTH = 100_000
+
+
+@pytest.mark.parametrize("text, flags, code", [
+    (" & ".join(f"G (a{i} -> F b{i})" for i in range(10_000)), [], EXIT_SAT),
+    ("(" * _DEPTH + "a" + ")" * _DEPTH, [], EXIT_SAT),
+    ("a & ! a & " + "X " * _DEPTH + "b", [], EXIT_UNSAT),
+    ("a | " + "X " * _DEPTH + "b", [], EXIT_SAT),
+    ("X " * _DEPTH + "a", ["--max-frames", "2"], EXIT_ABORT),
+], ids=["flat-conjunction", "nested-parentheses", "deep-next-unsat", "deep-next-sat",
+        "deep-next-frame-limit"])
+def test_deep_and_wide_input_is_decided(tmp_path, text, flags, code):
+    # in a process of its own, so that the interpreter's recursion limit is
+    # its default
     path = _write(tmp_path, "deep.ltlf", text + "\n")
-    code = main(["check", "-f", path])
-    assert code == EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
+    env = dict(os.environ, PYTHONPATH=str(Path(ltlfsat.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "ltlfsat.cli", "check", "-f", path, *flags],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if code == EXIT_SAT:
+        assert "verdict: sat" in done.stdout
+
+
+def test_raw_tnf_brute_force_keeps_tail_at_the_last_position(capsys):
+    # a raw-TNF model carries Tail at its last position, so `G ! Tail` has
+    # none; brute force finds no witness within its bound
+    code = main(["check", "--raw-tnf", "--oracle", "brute", "--formula", "G ! Tail"])
+    assert code == EXIT_ABORT
+    assert "no witness up to trace length" in capsys.readouterr().err
+    code = main(["oracle", "--raw-tnf", "--formula", "G ! Tail"])
+    out = capsys.readouterr().out
+    assert code == EXIT_UNSAT
+    assert "brute: unsat" in out
+    code = main(["check", "--raw-tnf", "--oracle", "brute", "--formula", "(! Tail) U (a & Tail)"])
+    assert code == EXIT_SAT
+    assert "Tail,a" in capsys.readouterr().out
 
 
 def test_resource_abort_exit_code(capsys):
@@ -222,6 +255,16 @@ def test_gen_writes_corpus(tmp_path, capsys):
     assert code == EXIT_OK
     manifest = json.loads((tmp_path / "corpus" / "manifest.json").read_text())
     assert len(manifest["formulas"]) == 5
+
+
+def test_gen_draws_formulas_longer_than_the_recursion_limit(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    code = main([
+        "gen", "--family", "random", "--count", "1", "--length-min", "3000",
+        "--length-max", "3000", "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    assert len((out / "random-0000.ltlf").read_text()) > 3000
 
 
 def test_bench_writes_csv_and_cross_checks(tmp_path, capsys):

@@ -1,4 +1,8 @@
+import ast
+import itertools
 import sys
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,9 +138,7 @@ def test_parse_error_messages_and_positions(text, message, line, column):
 
 def test_parse_deep_parentheses_without_recursion():
     assert parse("(" * 300 + "a" + ")" * 300) is Atom("a")
-    depth = sys.getrecursionlimit() + 1
-    with pytest.raises(ParseError, match="nested too deeply"):
-        parse("(" * depth + "a" + ")" * depth)
+    assert parse("(" * DEPTH + "a" + ")" * DEPTH) is Atom("a")
 
 
 def test_and_or_are_canonically_ordered():
@@ -284,7 +286,9 @@ def _nnf_reference(g, positive=True):
 
 
 def _tnf_reference(g):
-    """The tail-marked body of an NNF formula by plain recursion."""
+    """The tail-marked body of an NNF formula by plain recursion, making
+    each node when `to_tnf` makes it: an until's or a release's guard comes
+    before its right operand's form."""
     tail = Atom(TAIL)
     if isinstance(g, (TrueConst, FalseConst, Atom, Not)):
         return g
@@ -292,12 +296,93 @@ def _tnf_reference(g):
         return And(Not(tail), Next(_tnf_reference(g.operand)))
     if isinstance(g, WeakNext):
         return Or(tail, Next(_tnf_reference(g.operand)))
-    left, right = _tnf_reference(g.left), _tnf_reference(g.right)
     if isinstance(g, Until):
-        return Until(And(Not(tail), left), right)
+        return Until(And(Not(tail), _tnf_reference(g.left)), _tnf_reference(g.right))
     if isinstance(g, Release):
-        return Release(Or(tail, left), right)
-    return type(g)(left, right)
+        return Release(Or(tail, _tnf_reference(g.left)), _tnf_reference(g.right))
+    return type(g)(_tnf_reference(g.left), _tnf_reference(g.right))
+
+
+def _xnf_reference(g):
+    """The expanded form of a TNF formula by plain recursion, making each
+    node when `xnf` makes it."""
+    if isinstance(g, (And, Or)):
+        return type(g)(_xnf_reference(g.left), _xnf_reference(g.right))
+    if isinstance(g, Until):
+        return Or(_xnf_reference(g.right), And(_xnf_reference(g.left), Next(g)))
+    if isinstance(g, Release):
+        return And(_xnf_reference(g.right), Or(_xnf_reference(g.left), Next(g)))
+    return g
+
+
+def _renamed(g, prefix):
+    """A copy of g over atoms renamed with a prefix, made in post-order,
+    left operand first."""
+    if isinstance(g, Atom):
+        return Atom(prefix + g.name)
+    if isinstance(g, (Not, Next, WeakNext)):
+        return type(g)(_renamed(g.operand, prefix))
+    if isinstance(g, (And, Or, Until, Release)):
+        return type(g)(_renamed(g.left, prefix), _renamed(g.right, prefix))
+    return g
+
+
+def _made_by(run):
+    """The intern keys of the nodes run() makes, in creation order."""
+    before = len(formula._INTERN)
+    run()
+    return list(formula._INTERN)[before:]
+
+
+def _shapes(keys, labels):
+    """The keys with each node made since `labels` started named by its
+    creation index and each atom name stripped of its prefix, so that keys
+    made over isomorphic copies compare equal."""
+    shapes = []
+    for tag, *rest in keys:
+        if tag == "atom":
+            shapes.append((tag, rest[0].split("_", 1)[1]))
+        else:
+            shapes.append((tag, *(labels.get(uid, uid) for uid in rest)))
+        labels[formula._INTERN[(tag, *rest)].uid] = ("made", len(labels))
+    return shapes
+
+
+def _normalise_and_expand(f, nnf, tnf, expand):
+    """Normal forms of f and of its negation, then the expanded form of
+    every member a run over f can meet: the top-level conjuncts and the
+    bodies of the next-atoms."""
+    g = tnf(nnf(f))
+    nnf(Not(f))
+    for member in conjuncts(g) + tuple(h.operand for h in subformulas(g) if type(h) is Next):
+        expand(member)
+
+
+_COPIES = itertools.count()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**6), length=st.integers(1, 40))
+def test_rewrites_make_nodes_in_the_order_of_the_recursion(seed, length):
+    # uids order commutative operands, members and clauses, so the solver
+    # paths depend on the order in which the rewrites make their nodes
+    f = gen_random(3, length, 0.5, seed)
+    n = next(_COPIES)
+    # a first copy makes the nodes no atom is part of, such as `! Tail & true`
+    _normalise_and_expand(_renamed(f, f"warm{n}_"), to_nnf, to_tnf, xnf)
+    labels_new, labels_ref = {}, {}
+    copy_new = _shapes(_made_by(lambda: _renamed(f, f"new{n}_")), labels_new)
+    copy_ref = _shapes(_made_by(lambda: _renamed(f, f"ref{n}_")), labels_ref)
+    assert copy_new == copy_ref
+    g_new, g_ref = _renamed(f, f"new{n}_"), _renamed(f, f"ref{n}_")
+    made_new = _made_by(lambda: _normalise_and_expand(g_new, to_nnf, to_tnf, xnf))
+    made_ref = _made_by(lambda: _normalise_and_expand(
+        g_ref,
+        _nnf_reference,
+        lambda h: And(_tnf_reference(h), Until(TRUE, Atom(TAIL))),
+        _xnf_reference,
+    ))
+    assert _shapes(made_new, labels_new) == _shapes(made_ref, labels_ref)
 
 
 @settings(max_examples=200, deadline=None)
@@ -462,9 +547,10 @@ def test_subformulas_lists_each_reachable_node_once(seed, length, entered):
         assert set(some[1:]) <= below
 
 
-DEPTH = 5000
+DEPTH = 100_000
 
 
+@cache
 def _next_chain():
     f = Atom("deep_a")
     for _ in range(DEPTH):
@@ -472,10 +558,12 @@ def _next_chain():
     return f
 
 
+@cache
 def _and_chain():
+    """DEPTH conjuncts over two atoms, nested to the right."""
     f = Atom("wide_0")
     for i in range(1, DEPTH):
-        f = And(Atom(f"wide_{i}"), f)
+        f = And(Atom(f"wide_{i % 2}"), f)
     return f
 
 
@@ -486,10 +574,48 @@ def test_read_only_walks_return_on_input_deeper_than_the_recursion_limit():
     assert len(closure(chain)) == DEPTH + 1
     assert is_tnf(chain) and is_nnf(chain)
     wide = _and_chain()
-    assert atoms(wide) == {f"wide_{i}" for i in range(DEPTH)}
-    assert len(closure(wide)) == 2 * DEPTH - 1
+    assert atoms(wide) == {"wide_0", "wide_1"}
+    assert len(closure(wide)) == DEPTH + 1
     assert is_tnf(wide)
     assert not is_tnf(WeakNext(wide))
+
+
+def test_rewrites_and_evaluate_return_on_input_deeper_than_the_recursion_limit():
+    chain = _next_chain()
+    assert to_nnf(chain) is chain
+    assert type(to_nnf(Not(chain))) is WeakNext
+    tail_obligation = Until(TRUE, Atom(TAIL))
+    marked = to_tnf(chain)
+    body = marked.left if marked.right is tail_obligation else marked.right
+    assert type(body) is And and xnf(body) is body
+    assert render(chain) == "X (" * DEPTH + "deep_a" + ")" * DEPTH
+    assert conjuncts(chain) == (chain,)
+    positions = [set()] * 4 + [{"deep_a"}]
+    assert not evaluate(FiniteTrace.make(positions, {"deep_a"}), chain)
+    wide = _and_chain()
+    assert to_nnf(wide) is wide
+    assert type(to_nnf(Not(wide))) is Or
+    assert to_tnf(wide) is And(wide, tail_obligation)
+    assert xnf(wide) is wide
+    assert render(wide).count("&") == DEPTH - 1
+    parts = conjuncts(wide)
+    assert len(parts) == DEPTH and set(parts) == {Atom("wide_0"), Atom("wide_1")}
+    assert evaluate(FiniteTrace.make([{"wide_0", "wide_1"}]), wide)
+
+
+def test_no_function_in_the_package_calls_itself():
+    # a recursive walk would fail on input deeper than the interpreter's
+    # recursion limit, so every walk keeps a stack of its own
+    package = Path(formula.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = {
+                    node.func.id
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                }
+                assert fn.name not in called, f"{path.name}: {fn.name} calls itself"
 
 
 def test_nodes_hash_and_compare_by_identity():

@@ -7,11 +7,13 @@ from ltlfsat.formula import (
     TRUE,
     And,
     Atom,
+    FalseConst,
     FiniteTrace,
     Next,
     Not,
     Or,
     Release,
+    TrueConst,
     Until,
     WeakNext,
     parse,
@@ -194,3 +196,66 @@ def test_eval_block_matches_evaluate_bit_by_bit(f):
             for r in range(count):
                 trace = FiniteTrace(_decode_positions(names, length, start + r), alphabet)
                 assert (block >> r & 1) == evaluate(trace, f), (length, start, r)
+
+
+def _evaluate_reference(trace, f):
+    """Truth of the trace against f by the semantic clauses, as a plain
+    recursion over (position, node) pairs."""
+    n = len(trace)
+
+    def ev(i, g):
+        if isinstance(g, TrueConst):
+            return True
+        if isinstance(g, FalseConst):
+            return False
+        if isinstance(g, Atom):
+            return g.name in trace.positions[i]
+        if isinstance(g, Not):
+            return not ev(i, g.operand)
+        if isinstance(g, And):
+            return ev(i, g.left) and ev(i, g.right)
+        if isinstance(g, Or):
+            return ev(i, g.left) or ev(i, g.right)
+        if isinstance(g, Next):
+            return i + 1 < n and ev(i + 1, g.operand)
+        if isinstance(g, WeakNext):
+            return i + 1 >= n or ev(i + 1, g.operand)
+        if isinstance(g, Until):
+            for k in range(i, n):
+                if ev(k, g.right):
+                    return True
+                if not ev(k, g.left):
+                    return False
+            return False
+        for k in range(i, n):  # Release
+            if not ev(k, g.right):
+                return False
+            if ev(k, g.left):
+                return True
+        return True
+
+    return ev(0, f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formulas(), st.lists(st.sets(_names), min_size=1, max_size=9))
+def test_evaluate_matches_the_recursive_clauses(f, positions):
+    # _formulas draws every node kind, the constants and negations above
+    # any node among them; traces of up to 9 positions take the until
+    # doubling through four rounds
+    trace = FiniteTrace.make(positions, alphabet=frozenset(["a", "b"]))
+    assert evaluate(trace, f) == _evaluate_reference(trace, f)
+    assert evaluate(trace, Not(f)) != _evaluate_reference(trace, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_formulas(), st.integers(1, 5), st.data())
+def test_eval_block_matches_the_recursive_clauses(f, length, data):
+    names = ["a", "b"]
+    alphabet = frozenset(names)
+    count = 1 << data.draw(st.integers(0, min(2 * length, 6)))
+    start = count * data.draw(st.integers(0, (4 ** length) // count - 1))
+    block = _eval_block(f, names, length, start, count)
+    for r in range(count):
+        trace = FiniteTrace(_decode_positions(names, length, start + r), alphabet)
+        assert (block >> r & 1) == _evaluate_reference(trace, f), (start, r)
