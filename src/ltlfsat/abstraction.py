@@ -17,7 +17,6 @@ its own solver.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .formula import (
@@ -142,6 +141,17 @@ def _recipe(psi):
     return got
 
 
+def union_atoms(entries):
+    """Literal atoms and next-atoms of a state, as two sets, from its
+    members' (_, literal atoms, next-atoms) triples: `_recipe`'s or
+    `Encoder.member`'s."""
+    lits, nexts = set(), set()
+    for _, member_lits, member_nexts in entries:
+        lits |= member_lits
+        nexts |= member_nexts
+    return lits, nexts
+
+
 @dataclass(frozen=True)
 class Assignment:
     """A solver model restricted to the atoms relevant to one query.
@@ -171,15 +181,6 @@ class QueryOutcome:
         return self.assignment is not None
 
 
-class _QueryCount:
-    """Queries made through a group of sibling encoders, rechecks excluded."""
-
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-
 class Encoder:
     """A node-to-literal table plus one persistent solver.
 
@@ -189,37 +190,23 @@ class Encoder:
     constants to the literals of a variable fixed true. `member` replays a
     member's cached recipe (see `_recipe`) and encodes only the nodes the
     table lacks, so members that share subterms share their definitions.
+    `sat_calls` counts the queries made through this encoder, rechecks
+    excluded.
 
-    Single-owner: an encoder and its siblings (see `sibling`) belong to one
-    checker run; independent encoders may run in parallel.
+    Single-owner: an encoder belongs to one run; independent encoders may
+    run in parallel.
     """
 
-    def __init__(self, *, dump_dir=None):
+    def __init__(self):
         self.solver = SatSolver()
-        self._queries = _QueryCount()
+        self.sat_calls = 0
         self._members = {}
-        self._dump_dir = dump_dir
-        if dump_dir is not None:
-            os.makedirs(dump_dir, exist_ok=True)
         self._true = self.solver.new_var()
         self.solver.add_clause([self._true])
         self._lits = {TRUE: self._true, FALSE: -self._true}
         self._tail_var = self.atom_var(Atom(TAIL))
         self.final_activation = self.solver.new_var()
         self.solver.add_clause([-self.final_activation, self._tail_var])
-
-    @property
-    def sat_calls(self):
-        """Queries made through this encoder and its siblings, rechecks
-        excluded; clause dumps are numbered by this count."""
-        return self._queries.n
-
-    def sibling(self):
-        """A fresh encoder with a solver of its own that shares this one's
-        query count, and so its clause dump directory and numbering."""
-        other = Encoder(dump_dir=self._dump_dir)
-        other._queries = self._queries
-        return other
 
     def atom_var(self, pa):
         """The variable of an atom or next-atom, created on first use."""
@@ -261,12 +248,7 @@ class Encoder:
 
     def relevant_atoms(self, state):
         """Literal atoms and next-atoms of the expanded state conjunction."""
-        lits = set()
-        nexts = set()
-        for psi in state:
-            _, member_lits, member_nexts = self.member(psi)
-            lits |= member_lits
-            nexts |= member_nexts
+        lits, nexts = union_atoms(self.member(psi) for psi in state)
         return frozenset(lits), frozenset(nexts)
 
     def new_activation(self):
@@ -308,12 +290,13 @@ class Encoder:
             yield out.assignment
             self.block_assignment(act, out.assignment, lit_atoms, next_atoms)
 
-    def query(self, state, *, final=False, acts=(), _recheck=False):
+    def query(self, state, *, final=False, acts=(), dump=None, _recheck=False):
         """Solve the state conjunction in the given context.
 
         Satisfiable queries return the assignment restricted to the state's
         relevant atoms (plus Tail for final-position queries); unsatisfiable
-        ones return the member core, re-checked in isolation.
+        ones return the member core, re-checked in isolation. With a dump
+        path, the query is first written there as a clause file.
         """
         members = sorted(state, key=by_uid)
         entries = [self.member(psi) for psi in members]
@@ -322,16 +305,12 @@ class Encoder:
         if final:
             assumptions.append(self.final_activation)
         if not _recheck:
-            self._queries.n += 1
-            if self._dump_dir is not None:
-                self._dump(assumptions)
+            self.sat_calls += 1
+        if dump is not None:
+            self._dump(dump, assumptions)
         res = self.solver.solve(assumptions)
         if res.sat:
-            rel_lits = set()
-            rel_nexts = set()
-            for _, member_lits, member_nexts in entries:
-                rel_lits |= member_lits
-                rel_nexts |= member_nexts
+            rel_lits, rel_nexts = union_atoms(entries)
             if final:
                 rel_lits.add(Atom(TAIL))
             literals = frozenset(
@@ -348,18 +327,17 @@ class Encoder:
         # an empty core is legitimate: the context alone (e.g. exhausted
         # enumeration blockers) is already contradictory
         if not _recheck and core != state:
-            again = self.query(core, final=final, acts=acts, _recheck=True)
-            assert not again.sat, "unsat core is satisfiable when re-queried alone"
+            if self.query(core, final=final, acts=acts, _recheck=True).sat:
+                raise AssertionError("unsat core is satisfiable when re-queried alone")
         return QueryOutcome(None, core)
 
-    def _dump(self, assumptions):
-        """One query per file, standard competition clause-list format."""
-        number = self._queries.n
-        path = os.path.join(self._dump_dir, f"query{number:05d}.cnf")
+    def _dump(self, path, assumptions):
+        """The solver's clauses and the query's assumptions as one file in
+        the standard competition clause-list format."""
         # root facts as units: clauses they satisfy may have been dropped
         clauses = self.solver.clauses + [(lit,) for lit in self.solver.trail]
         lines = [
-            f"c query {number}; assumptions appended as unit clauses",
+            "c one solver query; assumptions appended as unit clauses",
             f"p cnf {self.solver.nvars} {len(clauses) + len(assumptions)}",
         ]
         lines.extend(" ".join(map(str, c)) + " 0" for c in clauses)

@@ -25,13 +25,17 @@ would otherwise repeat.
 
 `ConflictSequence` holds the frames, their solvers and the syntactic
 fixpoint test, and `inv_found` is the exact propositional test it implies.
-`Stats.sat_calls` counts the queries that reached one of the run's solvers;
-`Stats.pushes` counts the push queries among them. `Stats.reused` counts
-the step queries answered from a stored assignment, which reach no solver.
+Every solver query of a run, step, push or final-position, goes through
+`_Run._query`, which checks the deadline and `Limits.max_sat_calls` before
+the solve, counts it in `Stats.sat_calls` (push queries also in
+`Stats.pushes`) and numbers its `--dump-cnf` file by that count.
+`Stats.reused` counts the step queries answered from a stored assignment,
+which reach no solver.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -44,6 +48,7 @@ from .errors import (
     ResourceAbort,
     SatCallLimitExceeded,
     TraceBoundExceeded,
+    WitnessError,
 )
 from .formula import TAIL, And, FiniteTrace, atoms, by_uid, closure, is_tnf, parse, to_nnf, to_tnf
 from .satengine import SatSolver
@@ -82,10 +87,6 @@ class Verdict:
     spine: tuple | None = None
 
 
-class WitnessError(AssertionError):
-    """A produced witness failed semantic verification; internal bug."""
-
-
 class ConflictSequence:
     """Frames of member cores, each blocking successors in the search.
 
@@ -93,10 +94,10 @@ class ConflictSequence:
     level i is queried in frame i's encoder, where frame i's cores block
     successors under one activation literal, so a new core takes effect on
     the very next query. Frame 0 lives in the run's encoder, which also
-    answers the final-position queries. Every other frame gets an encoder of
-    its own, a sibling of the run's, when it is first queried, so no query
-    visits the blocking clauses of another frame; it blocks the cores the
-    frame holds by then.
+    answers the final-position queries. Every other frame gets a fresh
+    encoder of its own when it is first queried, so no query visits the
+    blocking clauses of another frame; it blocks the cores the frame holds
+    by then.
 
     The fixpoint is detected syntactically, as in IC3: level i is a fixpoint
     when frames 0..i are nonempty and every core of frame i is subsumed by a
@@ -130,7 +131,7 @@ class ConflictSequence:
         self.ensure(i)
         context = self._contexts[i]
         if context is None:
-            encoder = self._encoder if i == 0 else self._encoder.sibling()
+            encoder = self._encoder if i == 0 else Encoder()
             act = encoder.new_activation()
             for core in self.frames[i]:
                 encoder.block_core(act, core)
@@ -140,7 +141,8 @@ class ConflictSequence:
     def add_core(self, j, core):
         """Add a core to frame j unless it holds it already, and block it in
         frame j's encoder."""
-        assert core, "frames only hold nonempty cores"
+        if not core:
+            raise AssertionError("frames only hold nonempty cores")
         self.ensure(j)
         frame = self.frames[j]
         if core not in frame:
@@ -273,25 +275,37 @@ class _Run:
         self.original = original
         self.raw = raw_tnf
         self.tnf = normalise(original, raw_tnf)
-        self.encoder = Encoder(dump_dir=dump_dir)
+        self.encoder = Encoder()
         self.s0 = state_of(self.tnf)
         self.limits = limits
         # None: 2**|closure(tnf)|, computed by _over_frame_limit when needed
         self.max_frames = limits.max_frames
         self.deadline = Deadline(limits.timeout)
+        self.dump_dir = dump_dir
+        if dump_dir is not None:
+            os.makedirs(dump_dir, exist_ok=True)
         self.iteration_hook = iteration_hook
         self.seen = {self.s0}
         self.sequence = ConflictSequence(self.encoder)
         self.spine = None
-        self.pushes = 0
-        self.reused = 0
+        self.stats = Stats()  # the counters; the rest is filled in by `_stats`
         self._last = {}  # state -> assignment of its last sat step query
 
-    def _tick(self):
+    def _query(self, encoder, state, *, final=False, acts=(), push=False):
+        """Make one solver query of the run: check the limits before the
+        solve, count the query, and write it to the clause file that count
+        numbers when there is a dump directory."""
         self.deadline.check()
+        stats = self.stats
         limit = self.limits.max_sat_calls
-        if limit is not None and self.encoder.sat_calls >= limit:
+        if limit is not None and stats.sat_calls >= limit:
             raise SatCallLimitExceeded(limit)
+        stats.sat_calls += 1
+        stats.pushes += push
+        dump = None
+        if self.dump_dir is not None:
+            dump = os.path.join(self.dump_dir, f"query{stats.sat_calls:05d}.cnf")
+        return encoder.query(state, final=final, acts=acts, dump=dump)
 
     def _over_frame_limit(self):
         frames = len(self.sequence)
@@ -303,12 +317,9 @@ class _Run:
             self.max_frames = 1 << len(closure(self.tnf))
         return frames > self.max_frames
 
-    def _note(self, state):
-        self.seen.add(state)
-
     def check(self):
         start = time.monotonic()
-        out = self.encoder.query(self.s0, final=True)
+        out = self._query(self.encoder, self.s0, final=True)
         if out.sat:
             return self._sat_verdict([], out.assignment, start)
         self.sequence.add_core(0, out.core)
@@ -323,7 +334,7 @@ class _Run:
             self._push(frame_level)
             if self.iteration_hook is not None:
                 self.iteration_hook(frame_level, self.sequence.snapshot())
-            self._tick()
+            self.deadline.check()
             level = self.sequence.fixpoint_level()
             if level is not None:
                 return self._unsat_verdict(level, start)
@@ -350,9 +361,9 @@ class _Run:
                     spine.pop()
                 continue
             succ = successor_state(out.assignment.next_bodies)
-            self._note(succ)
+            self.seen.add(succ)
             if level == 0:
-                fout = self.encoder.query(succ, final=True)
+                fout = self._query(self.encoder, succ, final=True)
                 if fout.sat:
                     self.spine = tuple(spine + [succ])
                     return labels + [out.assignment], fout.assignment
@@ -363,20 +374,19 @@ class _Run:
             stack.append((succ, level - 1))
         return None
 
-    def _step(self, state, level):
+    def _step(self, state, level, *, push=False):
         """Step query of state under frame level's blocking clauses.
 
         The state's last sat step answer is returned again, without a solve,
         while no core of the frame lies inside its successor (`_reused`).
         Otherwise the frame's solver answers, and a sat answer is stored.
         """
-        self._tick()
         last = self._reused(state, level)
         if last is not None:
-            self.reused += 1
+            self.stats.reused += 1
             return QueryOutcome(last, None)
         encoder, act = self.sequence.context(level)
-        out = encoder.query(state, acts=(act,))
+        out = self._query(encoder, state, acts=(act,), push=push)
         if out.sat:
             self._last[state] = out.assignment
         return out
@@ -413,22 +423,17 @@ class _Run:
             for core in sequence.frames[i]:
                 if sequence.subsumed(i + 1, core):
                     continue
-                calls = self.encoder.sat_calls
-                out = self._step(core, i)
-                self.pushes += self.encoder.sat_calls - calls
+                out = self._step(core, i, push=True)
                 if not out.sat:
                     sequence.add_core(i + 1, out.core)
 
     def _stats(self, start):
-        return Stats(
-            states_expanded=len(self.seen),
-            sat_calls=self.encoder.sat_calls,
-            frames=len(self.sequence),
-            elapsed=time.monotonic() - start,
-            pushes=self.pushes,
-            reused=self.reused,
-            live_clauses=self.sequence.live_clauses(),
-        )
+        stats = self.stats
+        stats.states_expanded = len(self.seen)
+        stats.frames = len(self.sequence)
+        stats.elapsed = time.monotonic() - start
+        stats.live_clauses = self.sequence.live_clauses()
+        return stats
 
     def _sat_verdict(self, labels, final_assignment, start):
         target = self.tnf if self.raw else self.original
@@ -457,7 +462,7 @@ def check(f, *, raw_tnf=False, limits=Limits(), dump_dir=None, iteration_hook=No
     try:
         return run.check()
     except ResourceAbort as abort:
-        abort.states_expanded, abort.sat_calls = len(run.seen), run.encoder.sat_calls
+        abort.states_expanded, abort.sat_calls = len(run.seen), run.stats.sat_calls
         raise
 
 

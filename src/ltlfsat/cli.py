@@ -15,7 +15,7 @@ from .cdlsc import ENGINES, brute_target, normalise, solve
 from .errors import Limits, ResourceAbort
 from .formula import FiniteTrace, atoms, parse
 from .semantics import MAX_BRUTE_ATOMS, brute_force_sat, evaluate
-from .transition import brute_bound, build_full_system, export_dot
+from .transition import bfs_depth, brute_bound, build_full_system, export_dot
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -159,17 +159,22 @@ def _cmd_oracle(args):
     }
     target = brute_target(original, args.raw_tnf)
     count = len(atoms(target))
+    brute = f"skipped ({count} atoms > {MAX_BRUTE_ATOMS})"
     if count <= MAX_BRUTE_ATOMS:
-        # brute force is complete only up to the system's witness-length bound
         full = build_full_system(normalise(original, args.raw_tnf), exhaustive=True,
                                  limits=limits)
         bound = brute_bound(target, full)
         witness = brute_force_sat(target, bound, timeout=limits.timeout)
-        verdicts["brute"] = witness is not None
+        # a miss means unsat only when the bound reaches the final position
+        # of a path to the system's deepest state
+        if witness is not None or bound > bfs_depth(full):
+            verdicts["brute"] = witness is not None
+        else:
+            brute = f"inconclusive (no witness up to length {bound})"
     for name, sat in verdicts.items():
         print(f"{name}: {'sat' if sat else 'unsat'}")
-    if count > MAX_BRUTE_ATOMS:
-        print(f"brute: skipped ({count} atoms > {MAX_BRUTE_ATOMS})")
+    if "brute" not in verdicts:
+        print(f"brute: {brute}")
     if len(set(verdicts.values())) > 1:
         print("DISAGREEMENT between engines", file=sys.stderr)
         return EXIT_USAGE

@@ -1,4 +1,5 @@
-"""Resource limits and the errors raised when a run exceeds one.
+"""Resource limits, the errors raised when a run exceeds one, and
+`WitnessError`.
 
 A run that hits a limit raises instead of returning a verdict: it aborts
 loudly and never reports sat/unsat.
@@ -91,3 +92,7 @@ class AtomLimitExceeded(ResourceAbort):
                          f"brute force supports at most {limit} atoms, got {count}")
         self.count = count
         self.limit = limit
+
+
+class WitnessError(AssertionError):
+    """A produced witness failed semantic verification; internal bug."""

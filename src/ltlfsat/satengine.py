@@ -81,7 +81,8 @@ class SatSolver:
 
         Tautologies and clauses a root fact already satisfies are not kept.
         """
-        assert not self.trail_lim, "clauses may only be added between solves"
+        if self.trail_lim:
+            raise AssertionError("clauses may only be added between solves")
         lits = dict.fromkeys(lits)
         vals = self.vals
         nvars = self.nvars

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .errors import Deadline
+from .errors import Deadline, WitnessError
 from .formula import (
     And,
     Atom,
@@ -194,7 +194,8 @@ def brute_force_sat(f, max_len, *, timeout=None):
                 trace = FiniteTrace(
                     _decode_positions(names, length, start + first), alphabet
                 )
-                assert evaluate(trace, f), "enumerated witness failed re-evaluation"
+                if not evaluate(trace, f):
+                    raise WitnessError("enumerated witness failed re-evaluation")
                 return trace
             start += count
     return None

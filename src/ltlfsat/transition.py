@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .abstraction import Assignment, Encoder, QueryOutcome, _recipe
+from .abstraction import Assignment, Encoder, QueryOutcome, _recipe, union_atoms
 from .errors import Deadline, Limits, ResourceAbort, StateLimitExceeded
 from .formula import (
     FALSE,
@@ -84,10 +84,7 @@ def _table(state):
     """
     recipes = [_recipe(psi) for psi in sorted(state, key=by_uid)]
     tail = Atom(TAIL)
-    lits, nexts = set(), set()
-    for _, member_lits, member_nexts in recipes:
-        lits |= member_lits
-        nexts |= member_nexts
+    lits, nexts = union_atoms(recipes)
     columns = sorted(lits | nexts | {tail}, key=by_uid)
     if len(columns) > TABLE_ATOMS:
         return None
@@ -380,16 +377,19 @@ def bfs_depth(ts):
 
 
 # enumerating more traces than this is out of desk-scale budget; the
-# fallback bound below stays complete for witness search
+# fallback bound below is capped, so it may fall short of a witness
 BRUTE_WORK_CAP = 1 << 24
 BRUTE_FALLBACK_MIN = 8
 BRUTE_FALLBACK_MAX = 9
 
 
 def brute_bound(f, ts):
-    """Complete witness-length bound: the state count plus one when the
-    enumeration fits the work cap, else a shortest-path bound (no witness is
-    longer than the system's reachability depth plus its final position)."""
+    """Witness-length bound for brute force: the state count plus one when
+    the enumeration fits the work cap, else the system's reachability depth
+    plus two, kept between BRUTE_FALLBACK_MIN and BRUTE_FALLBACK_MAX.
+
+    A shortest witness has at most `bfs_depth(ts) + 1` positions, so a bound
+    below that is not complete: past the cap, a miss is not unsat."""
     bound = ts.state_count + 1
     width = 1 << len(atoms(f))
     if width ** bound <= BRUTE_WORK_CAP:

@@ -260,9 +260,10 @@ def test_enumeration_is_duplicate_free():
 
 
 def test_cnf_dump_writes_standard_clause_files(tmp_path):
-    enc = Encoder(dump_dir=str(tmp_path))
-    enc.query(frozenset({Until(And(Not(tail), a), b)}), final=True)
-    enc.query(frozenset({p}))
+    enc = Encoder()
+    enc.query(frozenset({Until(And(Not(tail), a), b)}), final=True,
+              dump=tmp_path / "query00001.cnf")
+    enc.query(frozenset({p}), dump=tmp_path / "query00002.cnf")
     files = sorted(tmp_path.glob("query*.cnf"))
     assert len(files) == 2
     text = files[0].read_text()

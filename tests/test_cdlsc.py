@@ -324,6 +324,7 @@ def test_timeout_covers_the_fixpoint_test():
     ("naive", Limits(state_limit=1), StateLimitExceeded),
     ("brute", Limits(timeout=0.0), TimeoutExceeded),
     ("brute", Limits(brute_bound=1), TraceBoundExceeded),
+    ("cdlsc", Limits(max_sat_calls=0), SatCallLimitExceeded),
 ])
 def test_each_limit_reaches_its_engine_through_solve(engine, limits, abort):
     # the shortest witness has two positions, so no engine decides at once
@@ -331,6 +332,39 @@ def test_each_limit_reaches_its_engine_through_solve(engine, limits, abort):
     assert solve(f, engine).sat
     with pytest.raises(abort):
         solve(f, engine, limits=limits)
+
+
+def _counted_check(f, limits):
+    """check(f) under limits, and the solver queries it made, rechecks
+    excluded."""
+    queries = []
+    query = Encoder.query
+
+    def counting_query(encoder, state, **kwargs):
+        queries.append(kwargs.get("_recheck", False))
+        return query(encoder, state, **kwargs)
+
+    with mock.patch.object(Encoder, "query", counting_query):
+        try:
+            return check(f, limits=limits), queries.count(False)
+        except SatCallLimitExceeded as abort:
+            return abort, queries.count(False)
+
+
+def test_sat_call_limit_is_exact():
+    # limit 0 stops even the initial state's final-position query
+    abort, made = _counted_check(parse("a"), Limits(max_sat_calls=0))
+    assert isinstance(abort, SatCallLimitExceeded) and made == abort.sat_calls == 0
+    f = parse("X X X X X a & F b & G (b -> X c)")
+    verdict, total = _counted_check(f, Limits())
+    assert verdict.stats.sat_calls == total > 7
+    for k in range(total):
+        abort, made = _counted_check(f, Limits(max_sat_calls=k))
+        assert isinstance(abort, SatCallLimitExceeded), k
+        assert made == abort.sat_calls == k
+    # a run that needs exactly its limit still reaches its verdict
+    verdict, made = _counted_check(f, Limits(max_sat_calls=total))
+    assert verdict.sat and verdict.stats.sat_calls == made == total
 
 
 @pytest.mark.parametrize("engine", [check, naive_check, build_full_system])
@@ -514,12 +548,11 @@ def test_frame_solvers_block_cores_added_before_they_exist():
     run_encoder = Encoder()
     sequence = ConflictSequence(run_encoder)
     state = frozenset({Next(a)})  # its only successor holds a
-    with mock.patch.object(Encoder, "sibling", autospec=True,
-                           side_effect=Encoder.sibling) as sibling:
+    with mock.patch.object(cdlsc, "Encoder", wraps=Encoder) as made:
         sequence.add_core(1, frozenset({a}))
-        assert sibling.call_count == 0
+        assert made.call_count == 0
         encoder, act = sequence.context(1)
-        assert sibling.call_count == 1
+        assert made.call_count == 1
         assert sequence.context(1) == (encoder, act)
     assert encoder is not run_encoder and encoder.solver is not run_encoder.solver
     assert not encoder.query(state, acts=(act,)).sat
@@ -531,21 +564,21 @@ def test_frame_solvers_block_cores_added_before_they_exist():
     assert encoder.query(other, acts=(act,)).sat
     sequence.add_core(1, frozenset({b}))
     assert not encoder.query(other, acts=(act,)).sat
-    # siblings count queries, rechecks excluded, together
-    assert run_encoder.sat_calls == encoder.sat_calls == 4
+    # each encoder counts its own queries, rechecks excluded
+    assert (run_encoder.sat_calls, encoder.sat_calls) == (1, 3)
 
 
 def test_frame_zero_shares_the_run_encoder():
     run = cdlsc._Run(_eventualities(4), raw_tnf=False, limits=Limits(),
                      dump_dir=None, iteration_hook=None)
     created = []
-    sibling = Encoder.sibling
 
-    def recording_sibling(encoder):
-        created.append(sibling(encoder))
+    def recording_encoder():
+        created.append(Encoder())
         return created[-1]
 
-    with mock.patch.object(Encoder, "sibling", recording_sibling):
+    # the run's own encoder exists already, so only frame encoders are made here
+    with mock.patch.object(cdlsc, "Encoder", recording_encoder):
         verdict = run.check()
     assert not verdict.sat and len(created) >= 2
     assert run.sequence.context(0)[0] is run.encoder
@@ -553,7 +586,7 @@ def test_frame_zero_shares_the_run_encoder():
     solvers = [e.solver for e in [run.encoder, *created]]
     assert len({id(s) for s in solvers}) == len(solvers)
     assert verdict.stats.live_clauses == sum(len(s.clauses) for s in solvers)
-    assert verdict.stats.sat_calls == run.encoder.sat_calls
+    assert verdict.stats.sat_calls == sum(e.sat_calls for e in [run.encoder, *created])
 
 
 def test_clause_dumps_number_every_query_of_the_run(tmp_path):

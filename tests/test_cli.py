@@ -147,6 +147,15 @@ def test_oracle_reports_skipped_brute(capsys):
     assert "brute: skipped (5 atoms > 4)" in out
 
 
+def test_oracle_reports_a_capped_brute_bound_as_inconclusive(capsys):
+    # the shortest witness has 13 positions, past brute force's capped bound
+    code = main(["oracle", "--formula", "X X X X X X X X X X X X a & b"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SAT
+    assert "brute: inconclusive (no witness up to length 9)" in captured.out
+    assert "DISAGREEMENT" not in captured.err
+
+
 def test_check_stats_line_counts_pushes(capsys):
     assert main(["check", "--formula", "p & ! p"]) == EXIT_UNSAT
     assert "pushes=0 reused=0" in capsys.readouterr().out

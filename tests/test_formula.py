@@ -618,6 +618,14 @@ def test_no_function_in_the_package_calls_itself():
                 assert fn.name not in called, f"{path.name}: {fn.name} calls itself"
 
 
+def test_no_check_in_the_package_is_an_assert_statement():
+    # `python -O` strips assert statements, and every check must survive it
+    package = Path(formula.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+
+
 def test_nodes_hash_and_compare_by_identity():
     # a Python-level __hash__ or __eq__ would run on every dict and set
     # operation keyed by a node
