@@ -203,7 +203,15 @@ class BenchSpec:
 
 
 def instances(spec):
-    """Deterministic (id, formula) list for a spec."""
+    """Deterministic (id, formula) list for a spec; its family's ranges are
+    checked before anything is drawn."""
+    if spec.family == "random" and spec.length_min > spec.length_max:
+        raise ValueError("length_min must not exceed length_max")
+    if spec.family == "conjunction":
+        if spec.k_min > spec.k_max:
+            raise ValueError("k_min must not exceed k_max")
+        if spec.alphabet_size < 1:
+            raise ValueError("alphabet_size must be positive")
     out = []
     if spec.family == "random":
         rng = random.Random(spec.seed)
@@ -279,10 +287,8 @@ def run_instance(instance_id, family, text, solver, limits):
         verdict = solve(original, solver, limits=limits)
     except ResourceAbort as abort:
         elapsed = (time.monotonic() - start) * 1000.0
-        # where the run stopped; brute-force aborts carry neither count
         return BenchRow(instance_id, family, f"abort:{abort.kind}",
-                        getattr(abort, "states_expanded", 0), getattr(abort, "sat_calls", 0),
-                        elapsed, False)
+                        abort.states_expanded, abort.sat_calls, elapsed, False)
     elapsed = (time.monotonic() - start) * 1000.0
     verified = True
     if verdict.sat:
@@ -330,9 +336,10 @@ def compare_reports(a, b):
 
 def write_corpus(spec, outdir):
     """One formula per file plus a manifest describing the generation."""
+    drawn = instances(spec)
     os.makedirs(outdir, exist_ok=True)
     entries = []
-    for instance_id, f in instances(spec):
+    for instance_id, f in drawn:
         filename = f"{instance_id}.ltlf"
         with open(os.path.join(outdir, filename), "w", encoding="utf-8") as fh:
             fh.write(render(f) + "\n")

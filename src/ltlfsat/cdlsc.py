@@ -8,7 +8,8 @@ of candidates, the step query's core seeds the next frame. After each
 failed iteration, cores are pushed forward as in IC3's propagation phase: a
 core of frame i whose successors all stay in frame i also joins frame i+1.
 Unsatisfiability is detected syntactically, once every core of some frame
-is subsumed by a core of the next, so no state escapes the frames.
+is subsumed by a core of the next. The push pass finds that level over the
+cores the next frame does not yet subsume, as PDR propagates only those.
 
 A step query whose answer is already known is not solved again. A run
 keeps, for each state, the assignment of its last sat step query. A
@@ -23,8 +24,8 @@ so a query propagates through the cores of its frame only. Frame 0 shares
 the run's solver with the final-position queries, whose member encodings it
 would otherwise repeat.
 
-`ConflictSequence` holds the frames, their solvers and the syntactic
-fixpoint test, and `inv_found` is the exact propositional test it implies.
+`ConflictSequence` holds the frames, their open cores and their solvers;
+`inv_found` is the exact propositional test the syntactic fixpoint implies.
 Every solver query of a run, step, push or final-position, goes through
 `_Run._query`, which checks the deadline and `Limits.max_sat_calls` before
 the solve, counts it in `Stats.sat_calls` (push queries also in
@@ -104,7 +105,9 @@ class ConflictSequence:
     core of frame i+1. Then every state in frame i is in frame i+1, so the
     frames up to i propositionally force frame i+1 and `inv_found`, the
     exact test, holds at some level no greater than i. Core pushing
-    (`_Run._push`) is what makes frame i+1 catch up with frame i.
+    (`_Run._push`) makes frame i+1 catch up with frame i and finds the
+    fixpoint over `open`, the cores not yet seen subsumed: frames only grow,
+    so a subsumed core stays subsumed.
 
     Each core of a frame is also filed under its lowest-uid member. A core
     inside a set has that member in the set, so `subsumed` looks only at the
@@ -114,6 +117,7 @@ class ConflictSequence:
     def __init__(self, encoder):
         self._encoder = encoder
         self.frames = []
+        self.open = []  # per frame: its cores not yet seen subsumed by the next
         self._filed = []  # per frame: lowest-uid member -> the cores filed under it
         self._contexts = []  # per frame: (encoder, activation) once queried
 
@@ -123,6 +127,7 @@ class ConflictSequence:
     def ensure(self, i):
         while len(self.frames) <= i:
             self.frames.append({})
+            self.open.append({})
             self._filed.append({})
             self._contexts.append(None)
 
@@ -146,7 +151,7 @@ class ConflictSequence:
         self.ensure(j)
         frame = self.frames[j]
         if core not in frame:
-            frame[core] = None
+            frame[core] = self.open[j][core] = None
             self._filed[j].setdefault(min(core, key=by_uid), []).append(core)
             context = self._contexts[j]
             if context is not None:
@@ -166,16 +171,12 @@ class ConflictSequence:
                 return True
         return False
 
-    def fixpoint_level(self):
-        """Smallest level i at which frames 0..i are nonempty and every core
-        of frame i is subsumed by one of frame i+1, or None."""
-        for i in range(len(self.frames) - 1):
-            frame = self.frames[i]
-            if not frame:
-                return None
-            if all(self.subsumed(i + 1, core) for core in frame):
-                return i
-        return None
+    def close(self, i):
+        """Drop frame i's open cores that frame i+1 subsumes; True if none is left."""
+        cores = self.open[i]
+        for core in [core for core in cores if self.subsumed(i + 1, core)]:
+            del cores[core]
+        return not cores
 
     def snapshot(self):
         return tuple(tuple(frame) for frame in self.frames)
@@ -203,11 +204,9 @@ def _frames_imply(antecedent, consequent):
     member_vars = {}
 
     def var(psi):
-        v = member_vars.get(psi)
-        if v is None:
-            v = solver.new_var()
-            member_vars[psi] = v
-        return v
+        if psi not in member_vars:
+            member_vars[psi] = solver.new_var()
+        return member_vars[psi]
 
     for frame in antecedent:
         selectors = []
@@ -329,15 +328,13 @@ class _Run:
                 raise FrameLimitExceeded(self.max_frames)
             found = self._try_satisfy(frame_level)
             if found is not None:
-                labels, final_assignment = found
-                return self._sat_verdict(labels, final_assignment, start)
-            self._push(frame_level)
+                return self._sat_verdict(*found, start)
+            level = self._push(frame_level)
             if self.iteration_hook is not None:
                 self.iteration_hook(frame_level, self.sequence.snapshot())
             self.deadline.check()
-            level = self.sequence.fixpoint_level()
             if level is not None:
-                return self._unsat_verdict(level, start)
+                return Verdict(False, None, level, self._stats(start), self.sequence.snapshot())
             frame_level += 1
             self.sequence.ensure(frame_level)
 
@@ -409,23 +406,30 @@ class _Run:
         return last
 
     def _push(self, frame_level):
-        """Push cores forward, as IC3's propagation phase does.
+        """Push cores forward, as IC3's propagation phase does; return the
+        fixpoint level or None.
 
-        For each level i up to frame_level in turn, a core of frame i that
-        frame i+1 does not subsume is queried as a state under frame i's
-        blocking clauses; if no successor escapes frame i, the query's core
-        joins frame i+1. A push that failed reuses its stored successor until
-        a core of frame i covers it (see `_step`), so it reaches a solver
-        again only then; `pushes` counts the ones that do.
+        For each level i up to frame_level in turn, an open core of frame i
+        that frame i+1 does not subsume is queried as a state under frame
+        i's blocking clauses; if no successor escapes, the query's core, a
+        subset of the pushed one, joins frame i+1. Level i is the first
+        fixpoint when frames 0..i are nonempty and `close(i)` leaves no open
+        core; later levels are still pushed. A failed push stays open, and
+        reaches a solver again, counted in `pushes`, only once a core of
+        frame i covers its stored successor (see `_step`).
         """
         sequence = self.sequence
+        fixpoint, nonempty = None, True
         for i in range(frame_level + 1):
-            for core in sequence.frames[i]:
-                if sequence.subsumed(i + 1, core):
-                    continue
-                out = self._step(core, i, push=True)
-                if not out.sat:
-                    sequence.add_core(i + 1, out.core)
+            for core in sequence.open[i]:
+                if not sequence.subsumed(i + 1, core):
+                    out = self._step(core, i, push=True)
+                    if not out.sat:
+                        sequence.add_core(i + 1, out.core)
+            nonempty = nonempty and bool(sequence.frames[i])
+            if sequence.close(i) and nonempty and fixpoint is None:
+                fixpoint = i
+        return fixpoint
 
     def _stats(self, start):
         stats = self.stats
@@ -436,15 +440,9 @@ class _Run:
         return stats
 
     def _sat_verdict(self, labels, final_assignment, start):
-        target = self.tnf if self.raw else self.original
-        witness = reconstruct_witness(
-            labels, final_assignment, target, keep_tail=self.raw
-        )
+        witness = reconstruct_witness(labels, final_assignment, self.original, keep_tail=self.raw)
         return Verdict(True, witness, None, self._stats(start),
                        self.sequence.snapshot(), self.spine)
-
-    def _unsat_verdict(self, level, start):
-        return Verdict(False, None, level, self._stats(start), self.sequence.snapshot())
 
 
 def check(f, *, raw_tnf=False, limits=Limits(), dump_dir=None, iteration_hook=None):

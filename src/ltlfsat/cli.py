@@ -183,6 +183,8 @@ def _cmd_oracle(args):
 
 def _cmd_verify(args):
     original = _load_formula(args)
+    if not args.raw_tnf:
+        normalise(original)  # raises ReservedAtomError if the formula mentions Tail
     with open(args.trace, "r", encoding="utf-8") as fh:
         text = fh.read()
     trace = FiniteTrace.from_text(text)

@@ -32,7 +32,10 @@ class Limits:
 
 
 class ResourceAbort(RuntimeError):
-    """A run exceeded a configured resource limit."""
+    """A run exceeded a configured resource limit. Engines that count set
+    `states_expanded` and `sat_calls` to where the run stopped."""
+
+    states_expanded = sat_calls = 0
 
     def __init__(self, kind, message):
         super().__init__(message)

@@ -140,6 +140,14 @@ def test_aborted_cdlsc_rows_report_where_the_run_stopped():
     assert all(r.states_expanded > 0 and r.sat_calls > 0 for r in aborted)
 
 
+def test_brute_abort_rows_report_zero_counts():
+    spec = BenchSpec(family="random", count=12, seed=11)
+    report = run_suite(spec, solver="brute", limits=Limits(brute_bound=1))
+    aborted = [r for r in report.rows if r.verdict == "abort:trace_bound"]
+    assert aborted, "expected an instance with no one-position witness"
+    assert all(r.states_expanded == 0 and r.sat_calls == 0 for r in aborted)
+
+
 def test_csv_shape():
     spec = BenchSpec(family="pattern", pattern="precedence", count=3, seed=0)
     report = run_suite(spec)

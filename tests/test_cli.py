@@ -100,6 +100,24 @@ def test_verify_rejects_bad_trace(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_verify_rejects_the_reserved_atom_without_raw_tnf(tmp_path, capsys):
+    trace = _write(tmp_path, "t.trace", "Tail\n")
+    code = main(["verify", "--formula", "Tail", "-t", trace])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "error: the atom 'Tail' is reserved" in captured.err
+    assert "satisfies" not in captured.out
+    assert main(["check", "--formula", "Tail"]) == EXIT_USAGE
+    assert capsys.readouterr().err == captured.err
+
+
+def test_verify_raw_tnf_evaluates_the_formula_as_given(tmp_path, capsys):
+    trace = _write(tmp_path, "t.trace", "Tail\n")
+    assert main(["verify", "--raw-tnf", "--formula", "Tail", "-t", trace]) == EXIT_OK
+    assert "trace satisfies the formula" in capsys.readouterr().out
+    assert main(["verify", "--raw-tnf", "--formula", "! Tail", "-t", trace]) == EXIT_USAGE
+
+
 def test_check_naive_and_brute_oracles(capsys):
     assert main(["check", "--oracle", "naive", "--formula", "a U b"]) == EXIT_SAT
     capsys.readouterr()
@@ -264,6 +282,22 @@ def test_gen_writes_corpus(tmp_path, capsys):
     assert code == EXIT_OK
     manifest = json.loads((tmp_path / "corpus" / "manifest.json").read_text())
     assert len(manifest["formulas"]) == 5
+
+
+@pytest.mark.parametrize("command, message", [
+    (["gen", "--family", "random", "--length-min", "5", "--length-max", "3"],
+     "length_min must not exceed length_max"),
+    (["bench", "--family", "conjunction", "--k-min", "6", "--k-max", "3"],
+     "k_min must not exceed k_max"),
+    (["gen", "--family", "conjunction", "--alphabet-size", "0"],
+     "alphabet_size must be positive"),
+], ids=["length-range", "k-range", "alphabet-size"])
+def test_empty_generator_ranges_name_the_field(tmp_path, command, message, capsys):
+    out = tmp_path / "corpus"
+    args = [*command, "--count", "3"] + (["--out", str(out)] if command[0] == "gen" else [])
+    assert main(args) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_gen_draws_formulas_longer_than_the_recursion_limit(tmp_path, capsys):
