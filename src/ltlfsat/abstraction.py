@@ -8,11 +8,15 @@ engine reports as failed. Contexts are retracted with activation literals:
 the final-position context asserts the Tail atom, step contexts carry
 blocking clauses over next-step atoms.
 
-Everything that depends on a member alone is computed once per process and
-cached by the interned node: its expanded form (`xnf`) and its encoding
-recipe, the distinct nodes of that form in the order a recursive Tseitin
-encoding would first reach them. An encoder replays a member's recipe into
-its own solver.
+A member is only ever assumed true, so its encoding is one-sided at the top
+(Plaisted & Greenbaum, 1986): its selector guards one clause per top-level
+conjunct of the expanded form, over that conjunct's top-level disjuncts,
+and only those disjuncts, the skeleton's leaves, get literals with full
+Tseitin definitions. Everything that depends on a member alone is computed
+once per process and cached by the interned node: its expanded form (`xnf`)
+and its encoding recipe (`_recipe`), which holds the skeleton and the nodes
+below its leaves in the order a recursive encoding would first reach them.
+An encoder replays a member's recipe into its own solver.
 """
 
 from __future__ import annotations
@@ -108,47 +112,77 @@ _RECIPE_CACHE = {}
 
 
 def _recipe(psi):
-    """The member's encoding recipe: the distinct nodes of `xnf(psi)` in
-    post-order, left operand first, and its `expanded_atoms`.
+    """The member's encoding recipe: (steps, literal atoms, next-atoms,
+    skeleton) for `xnf(psi)`.
 
-    Negated atoms, atoms, next-atoms and constants are the leaves. The
-    order is the one in which a recursive Tseitin encoding first reaches
-    each node, so replaying it creates the same variables and clauses.
+    `steps` are the distinct nodes of the expanded form in post-order, left
+    operand first; `transition._table` evaluates them bitwise. The
+    skeleton is (cone, clauses). Its clauses are the distinct top-level
+    conjuncts of the expanded form, each as its distinct top-level
+    disjuncts, left first: the leaves. A leaf is an atom, a negated atom, a
+    next-atom, a constant or a conjunction below a disjunction. The cone is
+    the distinct nodes at or below the leaves, in the order in which a
+    recursive Tseitin encoding of the leaves, one after another, first
+    reaches them; `Encoder.member` defines exactly these.
     """
     got = _RECIPE_CACHE.get(psi)
     if got is not None:
         return got
     expanded = xnf(psi)
     lits, nexts = expanded_atoms(expanded)
-    steps = []
-    seen = set()
-    stack = [(expanded, False)]
-    while stack:
-        g, complete = stack.pop()
-        if complete:
-            steps.append(g)
-        elif g not in seen:
-            seen.add(g)
-            kind = type(g)
-            if kind is And or kind is Or:
-                stack.append((g, True))
-                stack.append((g.right, False))
-                stack.append((g.left, False))
-            else:
-                steps.append(g)
-    got = (tuple(steps), lits, nexts)
+    clauses = tuple(_operands(c, Or) for c in _operands(expanded, And))
+    leaves = [g for clause in clauses for g in clause]
+    got = (_post_order([expanded]), lits, nexts, (_post_order(leaves), clauses))
     _RECIPE_CACHE[psi] = got
     return got
 
 
+def _operands(g, kind):
+    """The distinct top-level operands of g under connective kind (And or
+    Or), left first, as a tuple; (g,) when g is of another kind."""
+    out = []
+    seen = set()
+    stack = [g]
+    while stack:
+        h = stack.pop()
+        if h in seen:
+            continue
+        seen.add(h)
+        if type(h) is kind:
+            stack += (h.right, h.left)
+        else:
+            out.append(h)
+    return tuple(out)
+
+
+def _post_order(roots):
+    """The distinct nodes below the roots, roots included, in post-order:
+    roots in turn, left operand first. Only And and Or are looked through."""
+    out = []
+    seen = set()
+    stack = [(g, False) for g in reversed(roots)]
+    while stack:
+        g, complete = stack.pop()
+        if complete:
+            out.append(g)
+        elif g not in seen:
+            seen.add(g)
+            kind = type(g)
+            if kind is And or kind is Or:
+                stack += ((g, True), (g.right, False), (g.left, False))
+            else:
+                out.append(g)
+    return tuple(out)
+
+
 def union_atoms(entries):
     """Literal atoms and next-atoms of a state, as two sets, from its
-    members' (_, literal atoms, next-atoms) triples: `_recipe`'s or
-    `Encoder.member`'s."""
+    members' `_recipe` or `Encoder.member` entries, whose second and third
+    fields are the literal atoms and the next-atoms."""
     lits, nexts = set(), set()
-    for _, member_lits, member_nexts in entries:
-        lits |= member_lits
-        nexts |= member_nexts
+    for entry in entries:
+        lits |= entry[1]
+        nexts |= entry[2]
     return lits, nexts
 
 
@@ -186,10 +220,11 @@ class Encoder:
 
     The table maps every node encoded so far to its literal: an atom or
     next-atom to its variable, a negated atom to the negated variable, a
-    connective of an expanded form to its definition variable, and the
-    constants to the literals of a variable fixed true. `member` replays a
-    member's cached recipe (see `_recipe`) and encodes only the nodes the
-    table lacks, so members that share subterms share their definitions.
+    connective at or below a skeleton leaf to its definition variable, and
+    the constants to the literals of a variable fixed true. The connectives
+    above a member's leaves get no entry. `member` replays a member's cached
+    recipe (see `_recipe`) and encodes only the nodes the table lacks, so
+    members that share subterms below their leaves share their definitions.
     `sat_calls` counts the queries made through this encoder, rechecks
     excluded.
 
@@ -219,16 +254,20 @@ class Encoder:
     def member(self, psi):
         """Assumption variable and relevant-atom sets for one state member.
 
-        A connective gets a definition variable, fully defined by its
-        operands, so definition variables track their structure and never
-        force don't-care atoms.
+        The member's selector p guards one clause per clause of its
+        skeleton (see `_recipe`): [-p, l1, ..., lk] over the leaves'
+        literals. Members are only ever assumed true, so the nodes above the
+        leaves need no variable (Plaisted & Greenbaum, 1986). A leaf
+        conjunction gets a definition variable, fully defined by its
+        operands, as does every connective below it, so definition
+        variables track their structure and never force don't-care atoms.
         """
         entry = self._members.get(psi)
         if entry is None:
-            steps, lits, nexts = _recipe(psi)
+            _, lits, nexts, (cone, clauses) = _recipe(psi)
             table = self._lits
             solver = self.solver
-            for g in steps:
+            for g in cone:
                 if g in table:
                     continue
                 kind = type(g)
@@ -241,7 +280,8 @@ class Encoder:
                 else:
                     self.atom_var(g)
             p = solver.new_var()
-            solver.add_clause([-p, table[steps[-1]]])
+            for clause in clauses:
+                solver.add_clause([-p, *[table[g] for g in clause]])
             entry = (p, lits, nexts)
             self._members[psi] = entry
         return entry

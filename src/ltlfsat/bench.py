@@ -239,6 +239,10 @@ def instances(spec):
 
 @dataclass(frozen=True)
 class BenchRow:
+    """One instance's outcome. `frames` is the verdict's `Stats.frames`,
+    None on an abort; `invariant_level` is the unsat verdict's, None on sat
+    rows, aborts and the engines that have no frames."""
+
     id: str
     family: str
     verdict: str
@@ -246,6 +250,8 @@ class BenchRow:
     sat_calls: int
     elapsed_ms: float
     verified: bool
+    frames: int | None = None
+    invariant_level: int | None = None
 
 
 @dataclass
@@ -265,15 +271,19 @@ class BenchReport:
         }
 
 
-CSV_HEADER = "id,family,verdict,states_expanded,sat_calls,elapsed_ms,verified"
+CSV_HEADER = ("id,family,verdict,states_expanded,sat_calls,elapsed_ms,verified,"
+              "frames,invariant_level")
 
 
 def render_csv(report):
+    """The report as CSV; a field that is None is left empty."""
     lines = [CSV_HEADER]
     for r in report.rows:
+        frames = "" if r.frames is None else r.frames
+        level = "" if r.invariant_level is None else r.invariant_level
         lines.append(
             f"{r.id},{r.family},{r.verdict},{r.states_expanded},{r.sat_calls},"
-            f"{r.elapsed_ms:.3f},{str(r.verified).lower()}"
+            f"{r.elapsed_ms:.3f},{str(r.verified).lower()},{frames},{level}"
         )
     return "\n".join(lines) + "\n"
 
@@ -295,7 +305,7 @@ def run_instance(instance_id, family, text, solver, limits):
         verified = evaluate(verdict.witness, original)
     return BenchRow(instance_id, family, "sat" if verdict.sat else "unsat",
                     verdict.stats.states_expanded, verdict.stats.sat_calls,
-                    elapsed, verified)
+                    elapsed, verified, verdict.stats.frames, verdict.invariant_level)
 
 
 def _worker(payload):

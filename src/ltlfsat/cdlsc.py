@@ -393,12 +393,19 @@ class _Run:
         state under frame level, else None.
 
         It does when no core of the frame is a subset of its next bodies t.
-        Extend the model it came from: next-atoms outside t false, selectors
-        of unassumed members false, definition variables recomputed from
-        their operands. That satisfies every original clause of every
-        frame's solver, since a blocking clause fails only when its whole
-        core lies inside t, and learned clauses follow from the original
-        ones.
+        A model of the frame's solver then extends it: the state's literal
+        atoms as it assigns them, next-atoms outside t false, other atoms
+        arbitrary, selectors of the state's members true and of the others
+        false, activation literals other than the frame's false, and
+        definition variables recomputed from their operands. A definition's
+        clauses hold by construction. A member's clauses are guarded by its
+        selector (see `Encoder.member`): an unassumed member's hold through
+        its false selector, and an assumed member's through its leaves,
+        whose recomputed values depend on the member's atoms only. Those
+        atoms have their values in the model the assignment came from, which
+        satisfied the same clauses, so each clause keeps a true leaf. A
+        blocking clause fails only when its whole core lies inside t, and
+        learned clauses follow from the original ones.
         """
         last = self._last.get(state)
         if last is None or self.sequence.subsumed(level, last.next_bodies):

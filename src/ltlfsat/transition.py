@@ -9,9 +9,10 @@ distinguished empty-obligation state {true}, which is final by construction.
 A state with at most TABLE_ATOMS relevant atoms (literal atoms, next-atoms
 and Tail) is decided by `table_step`, one truth table over every valuation
 of those atoms, with no solver: each atom's column is an int with one bit
-per row, and the members' expanded forms are evaluated bitwise over it by
-replaying their cached encoding recipes (`abstraction._recipe`), the node
-orders `Encoder.member` replays into a solver. A larger state goes to the
+per row, and the members' expanded forms are evaluated bitwise over it in
+the node orders their cached encoding recipes keep (`abstraction._recipe`):
+every node of the expanded form, where `Encoder.member` defines only the
+nodes below its skeleton's leaves. A larger state goes to the
 system's `Encoder`, created when the first such state is met:
 `successors(encoder, state)` enumerates its distinct successors, and
 `encoder.query(state, final=True)` tests whether it can end the trace.
@@ -90,11 +91,11 @@ def _table(state):
         return None
     full = (1 << (1 << len(columns))) - 1
     column = dict(zip(columns, column_masks(len(columns))))
-    # as `Encoder.member` keeps its literals: the value of every node
-    # replayed so far, seeded with the columns and the constants
+    # the value of every node evaluated so far, seeded with the columns and
+    # the constants
     value = {**column, TRUE: full, FALSE: 0}
     sat = full
-    for steps, _, _ in recipes:
+    for steps, *_ in recipes:
         for g in steps:
             if g in value:
                 continue

@@ -276,10 +276,21 @@ def test_cnf_dump_writes_standard_clause_files(tmp_path):
     assert all(l.endswith(" 0") for l in body)
 
 
+def _flat(g, kind, out):
+    """Append g's distinct top-level operands under kind to out, left first."""
+    if isinstance(g, kind):
+        _flat(g.left, kind, out)
+        _flat(g.right, kind, out)
+    elif g not in out:
+        out.append(g)
+    return out
+
+
 class _RecursiveEncoder:
-    """Reference for `Encoder.member`: the recursive Tseitin encoding it
-    replaces, one call per node, operands first, each clause through
-    `add_clause`."""
+    """Reference for `Encoder.member`: the selector guards one clause per
+    top-level conjunct of the expansion, over the conjunct's top-level
+    disjuncts; each disjunct gets the recursive Tseitin encoding, one call
+    per node, operands first, each clause through `add_clause`."""
 
     def __init__(self):
         self.solver = SatSolver()
@@ -328,9 +339,11 @@ class _RecursiveEncoder:
         entry = self.members.get(psi)
         if entry is None:
             expanded = xnf(psi)
-            lit = self.lit(expanded)
+            clauses = [[self.lit(g) for g in _flat(c, Or, [])]
+                       for c in _flat(expanded, And, [])]
             p = self.solver.new_var()
-            self.solver.add_clause([-p, lit])
+            for clause in clauses:
+                self.solver.add_clause([-p, *clause])
             entry = (p, *expanded_atoms(expanded))
             self.members[psi] = entry
         return entry
@@ -368,6 +381,9 @@ _EXTRA_MEMBERS = (
     Or(Not(b), b),
     parse("G (a -> F b)"),
     parse("(a & b) U (a & ! b)"),
+    Or(Or(a, And(b, Or(a, c))), Next(b)),  # a leaf conjunction with a disjunction below
+    And(Or(a, c), Or(And(Or(a, c), d), b)),  # a skeleton disjunction below a leaf too
+    And(And(a, Or(b, b)), And(Or(b, b), a)),  # repeated conjuncts and disjuncts
 )
 
 
@@ -380,6 +396,7 @@ def test_member_matches_the_recursive_encoding_on_fixed_cases():
         And(a, Not(a)),
         shared,
         Release(Or(tail, And(a, b)), Or(a, c)),  # shares And(a, b) and Or(a, c)
+        *_EXTRA_MEMBERS[-3:],  # skeletons of nested, shared and repeated operands
         (c, True),
         And(c, d),  # an operand fixed true at the root
         (d, False),

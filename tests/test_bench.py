@@ -153,9 +153,31 @@ def test_csv_shape():
     report = run_suite(spec)
     text = render_csv(report)
     lines = text.strip().split("\n")
-    assert lines[0] == "id,family,verdict,states_expanded,sat_calls,elapsed_ms,verified"
+    assert lines[0] == ("id,family,verdict,states_expanded,sat_calls,elapsed_ms,verified,"
+                        "frames,invariant_level")
     assert len(lines) == 4
     assert lines[1].startswith("precedence-001,pattern,sat,")
+    # a decided row carries its run's frames, an unsat row its invariant
+    # level; the rest are left empty
+    spec = BenchSpec(family="conjunction", count=8, seed=3, alphabet_size=4)
+    for limits in (Limits(), Limits(max_frames=1)):
+        report = run_suite(spec, limits=limits)
+        lines = render_csv(report).strip().split("\n")[1:]
+        for (instance_id, f), row, line in zip(instances(spec), report.rows, lines):
+            fields = line.split(",")
+            assert fields[0] == instance_id
+            if row.verdict.startswith("abort"):
+                assert (row.frames, row.invariant_level) == (None, None)
+                assert fields[-2:] == ["", ""]
+                continue
+            verdict = check(f, limits=limits)
+            assert (row.frames, row.invariant_level) == (verdict.stats.frames,
+                                                         verdict.invariant_level)
+            level = "" if verdict.sat else str(verdict.invariant_level)
+            assert fields[-2:] == [str(verdict.stats.frames), level]
+        kinds = {r.verdict for r in report.rows}
+        assert {"sat", "unsat"} <= kinds
+        assert ("abort:max_frames" in kinds) == (limits.max_frames is not None)
 
 
 def test_write_corpus(tmp_path):

@@ -319,7 +319,8 @@ def test_bench_writes_csv_and_cross_checks(tmp_path, capsys):
     ])
     assert code == EXIT_OK
     text = (tmp_path / "report.csv").read_text()
-    assert text.splitlines()[0] == "id,family,verdict,states_expanded,sat_calls,elapsed_ms,verified"
+    assert text.splitlines()[0] == ("id,family,verdict,states_expanded,sat_calls,elapsed_ms,"
+                                    "verified,frames,invariant_level")
     assert "chain-response-001,pattern,sat" in text
     assert "verdicts agree" in capsys.readouterr().out
 
