@@ -38,7 +38,6 @@ from .formula import (
     Until,
     WeakNext,
     by_uid,
-    conjuncts,
     fold,
     subformulas,
 )
@@ -300,35 +299,13 @@ class Encoder:
         clause.extend(-self.atom_var(Next(psi)) for psi in sorted(core, key=by_uid))
         self.solver.add_clause(clause)
 
-    def block_assignment(self, act, assignment, lit_atoms, next_atoms):
-        """Forbid this exact assignment over the relevant atoms."""
-        values = dict(assignment.literals)
+    def block_assignment(self, act, assignment, next_atoms):
+        """Forbid this assignment's projection on the next-atoms."""
         clause = [-act]
-        for a in sorted(lit_atoms, key=by_uid):
-            v = self.atom_var(a)
-            clause.append(-v if values[a.name] else v)
         for n in sorted(next_atoms, key=by_uid):
             v = self.atom_var(n)
             clause.append(-v if n.operand in assignment.next_bodies else v)
         self.solver.add_clause(clause)
-
-    def enumerate(self, state, lit_atoms, next_atoms):
-        """Yield the state's assignments, one per distinct projection on
-        lit_atoms and next_atoms.
-
-        Each found assignment's projection is blocked under an activation
-        literal before the next solve; the blocking clauses are released
-        once the enumeration is exhausted. A generator abandoned early keeps
-        them, which only matters if the encoder is used further.
-        """
-        act = self.new_activation()
-        while True:
-            out = self.query(state, acts=(act,))
-            if not out.sat:
-                self.solver.release(act)
-                return
-            yield out.assignment
-            self.block_assignment(act, out.assignment, lit_atoms, next_atoms)
 
     def query(self, state, *, final=False, acts=(), dump=None, _recheck=False):
         """Solve the state conjunction in the given context.
@@ -384,15 +361,3 @@ class Encoder:
         lines.extend(f"{a} 0" for a in assumptions)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-
-
-def enumerate_assignments(target, *, encoder=None):
-    """Yield every assignment of the expanded target over its relevant atoms.
-
-    Each found assignment is blocked by its full projection before the next
-    solve, so the enumeration is exhaustive and free of duplicates; the
-    order is engine-dependent.
-    """
-    enc = encoder if encoder is not None else Encoder()
-    state = target if isinstance(target, frozenset) else frozenset(conjuncts(target))
-    yield from enc.enumerate(state, *enc.relevant_atoms(state))

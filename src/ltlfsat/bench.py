@@ -22,14 +22,11 @@ from .formula import (
     TRUE,
     And,
     Atom,
-    FalseConst,
     Next,
     Not,
     Or,
     Release,
-    TrueConst,
     Until,
-    parse,
     render,
 )
 from .semantics import evaluate
@@ -122,30 +119,6 @@ _DRAWN = {"!": Not, "X": Next, "G": _globally, "F": _eventually,
           "&": And, "|": Or, "U": Until, "R": Release}
 
 
-def surface_length(f):
-    """Drawn-node count of a generated formula.
-
-    Globally/eventually were drawn as single operators, so their constant
-    left sides do not count; generated formulas never contain free-standing
-    constants.
-    """
-    count = 0
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        count += 1
-        kind = type(g)
-        if kind is TrueConst or kind is FalseConst:
-            raise ValueError("free-standing constant in a generated formula")
-        if kind is Not or kind is Next:
-            stack.append(g.operand)
-        elif (kind is Release and g.left is FALSE) or (kind is Until and g.left is TRUE):
-            stack.append(g.right)
-        elif kind is not Atom:
-            stack += (g.left, g.right)
-    return count
-
-
 def gen_pattern(name, n):
     """The n-th instance of a pattern family: n template copies over fresh
     atom pairs, conjoined."""
@@ -203,8 +176,10 @@ class BenchSpec:
 
 
 def instances(spec):
-    """Deterministic (id, formula) list for a spec; its family's ranges are
-    checked before anything is drawn."""
+    """Deterministic (id, formula) list for a spec; its count and its
+    family's ranges are checked before anything is drawn."""
+    if spec.count < 0:
+        raise ValueError("count must not be negative")
     if spec.family == "random" and spec.length_min > spec.length_max:
         raise ValueError("length_min must not exceed length_max")
     if spec.family == "conjunction":
@@ -288,13 +263,12 @@ def render_csv(report):
     return "\n".join(lines) + "\n"
 
 
-def run_instance(instance_id, family, text, solver, limits):
-    """Check one rendered formula with the selected engine; aborts are
-    recorded, never turned into verdicts."""
-    original = parse(text)
+def run_instance(instance_id, family, f, solver, limits):
+    """Check one formula with the selected engine; aborts are recorded,
+    never turned into verdicts."""
     start = time.monotonic()
     try:
-        verdict = solve(original, solver, limits=limits)
+        verdict = solve(f, solver, limits=limits)
     except ResourceAbort as abort:
         elapsed = (time.monotonic() - start) * 1000.0
         return BenchRow(instance_id, family, f"abort:{abort.kind}",
@@ -302,32 +276,18 @@ def run_instance(instance_id, family, text, solver, limits):
     elapsed = (time.monotonic() - start) * 1000.0
     verified = True
     if verdict.sat:
-        verified = evaluate(verdict.witness, original)
+        verified = evaluate(verdict.witness, f)
     return BenchRow(instance_id, family, "sat" if verdict.sat else "unsat",
                     verdict.stats.states_expanded, verdict.stats.sat_calls,
                     elapsed, verified, verdict.stats.frames, verdict.invariant_level)
 
 
-def _worker(payload):
-    return run_instance(*payload)
-
-
-def run_suite(spec, solver="cdlsc", limits=Limits(), jobs=1):
-    """One report row per instance; satisfying witnesses are re-verified."""
-    payloads = [
-        (instance_id, spec.family, render(f), solver, limits)
-        for instance_id, f in instances(spec)
-    ]
-    report = BenchReport(solver=solver)
-    if jobs <= 1:
-        report.rows = [_worker(p) for p in payloads]
-    else:
-        # imported here: the pool machinery loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            report.rows = list(pool.map(_worker, payloads))
-    return report
+def run_suite(spec, solver="cdlsc", limits=Limits()):
+    """One report row per instance, in order; satisfying witnesses are
+    re-verified."""
+    rows = [run_instance(instance_id, spec.family, f, solver, limits)
+            for instance_id, f in instances(spec)]
+    return BenchReport(solver, rows)
 
 
 def compare_reports(a, b):

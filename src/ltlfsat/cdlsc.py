@@ -419,14 +419,15 @@ class _Run:
         For each level i up to frame_level in turn, an open core of frame i
         that frame i+1 does not subsume is queried as a state under frame
         i's blocking clauses; if no successor escapes, the query's core, a
-        subset of the pushed one, joins frame i+1. Level i is the first
-        fixpoint when frames 0..i are nonempty and `close(i)` leaves no open
-        core; later levels are still pushed. A failed push stays open, and
-        reaches a solver again, counted in `pushes`, only once a core of
-        frame i covers its stored successor (see `_step`).
+        subset of the pushed one, joins frame i+1. Level i is the fixpoint
+        when frames 0..i are nonempty and `close(i)` leaves no open core;
+        the pass returns at the first one and pushes no later level. A
+        failed push stays open, and reaches a solver again, counted in
+        `pushes`, only once a core of frame i covers its stored successor
+        (see `_step`).
         """
         sequence = self.sequence
-        fixpoint, nonempty = None, True
+        nonempty = True
         for i in range(frame_level + 1):
             for core in sequence.open[i]:
                 if not sequence.subsumed(i + 1, core):
@@ -434,9 +435,9 @@ class _Run:
                     if not out.sat:
                         sequence.add_core(i + 1, out.core)
             nonempty = nonempty and bool(sequence.frames[i])
-            if sequence.close(i) and nonempty and fixpoint is None:
-                fixpoint = i
-        return fixpoint
+            if sequence.close(i) and nonempty:
+                return i
+        return None
 
     def _stats(self, start):
         stats = self.stats

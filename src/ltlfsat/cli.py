@@ -78,7 +78,6 @@ def _build_parser():
     bench.add_argument("--oracle", choices=ENGINES, default="cdlsc")
     bench.add_argument("--cross-check", choices=ENGINES, default=None,
                        help="also run this engine and flag verdict disagreements")
-    bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--timeout", type=float, default=Limits.timeout,
                        help="per-instance timeout in seconds")
     bench.add_argument("--max-frames", type=int, default=Limits.max_frames)
@@ -207,7 +206,7 @@ def _cmd_gen(args):
 def _cmd_bench(args):
     spec = _from_args(benchmod.BenchSpec, args)
     limits = _from_args(Limits, args)
-    report = benchmod.run_suite(spec, solver=args.oracle, limits=limits, jobs=args.jobs)
+    report = benchmod.run_suite(spec, solver=args.oracle, limits=limits)
     csv_text = benchmod.render_csv(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -225,8 +224,7 @@ def _cmd_bench(args):
         print(f"UNVERIFIED witnesses: {unverified}", file=sys.stderr)
         return EXIT_USAGE
     if args.cross_check and args.cross_check != args.oracle:
-        other = benchmod.run_suite(spec, solver=args.cross_check, limits=limits,
-                                   jobs=args.jobs)
+        other = benchmod.run_suite(spec, solver=args.cross_check, limits=limits)
         mismatched = benchmod.compare_reports(report, other)
         if mismatched:
             print(f"DISAGREEMENT on instances: {mismatched}", file=sys.stderr)

@@ -21,7 +21,9 @@ class Limits:
     `max_frames` None means 2**|closure|. `state_limit` is read by the state
     explorations (`naive_check`, `build_full_system`), and `brute_bound`,
     the trace-length bound, by the brute engine of `cdlsc.solve`. A limit of
-    None is no limit.
+    None is no limit. A malformed limit raises ValueError when the limits
+    are made: a timeout that is NaN or negative, a negative frame or SAT
+    call limit, or a state limit or trace-length bound below 1.
     """
 
     timeout: float | None = None
@@ -29,6 +31,16 @@ class Limits:
     max_sat_calls: int | None = None
     state_limit: int = 1 << 20
     brute_bound: int = 8
+
+    def __post_init__(self):
+        # written so that NaN, which compares false with everything, fails
+        if self.timeout is not None and not self.timeout >= 0:
+            raise ValueError(f"timeout must be a nonnegative number, got {self.timeout}")
+        for name, least in (("max_frames", 0), ("max_sat_calls", 0),
+                            ("state_limit", 1), ("brute_bound", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 class ResourceAbort(RuntimeError):

@@ -184,11 +184,6 @@ def subformulas(f, enter=None):
     return out
 
 
-def is_nnf(f):
-    """True when negation occurs only directly above atoms."""
-    return not any(type(g) is Not and type(g.operand) is not Atom for g in subformulas(f))
-
-
 def is_tnf(f):
     """True when f is in negation normal form and free of weak-next."""
     return not any(
@@ -321,7 +316,7 @@ def _check_tnf_input(f):
     Reads each node once, and does not go below nodes `to_tnf` has
     translated before: those passed this check then. A negation above a non-atom is reported
     before Tail, wherever each occurs. On the cdlsc-mix benchmark (2-core
-    VM, 10 alternating pairs), `is_nnf` followed by `atoms` instead read
+    VM, 10 alternating pairs), a separate NNF walk followed by `atoms` read
     latency p50 1.62 ms against 1.41.
     """
     done = _TNF_CACHE

@@ -7,13 +7,13 @@ next-atom bodies of the assignments that satisfy the members' expanded
 distinguished empty-obligation state {true}, which is final by construction.
 
 A state with at most TABLE_ATOMS relevant atoms (literal atoms, next-atoms
-and Tail) is decided by `table_step`, one truth table over every valuation
-of those atoms, with no solver: each atom's column is an int with one bit
-per row, and the members' expanded forms are evaluated bitwise over it in
-the node orders their cached encoding recipes keep (`abstraction._recipe`):
+and Tail) is decided by `_table`, one truth table over every valuation of
+those atoms, with no solver: each atom's column is an int with one bit per
+row, and the members' expanded forms are evaluated bitwise over it in the
+node orders their cached encoding recipes keep (`abstraction._recipe`):
 every node of the expanded form, where `Encoder.member` defines only the
-nodes below its skeleton's leaves. A larger state goes to the
-system's `Encoder`, created when the first such state is met:
+nodes below its skeleton's leaves. A larger state goes to the system's
+`Encoder`, created when the first such state is met:
 `successors(encoder, state)` enumerates its distinct successors, and
 `encoder.query(state, final=True)` tests whether it can end the trace.
 
@@ -67,21 +67,42 @@ def successor_state(bodies):
 
 def successors(encoder, state):
     """All successors of a state, one (label, target) pair per distinct
-    next-atom projection (two projections may name the same target), from
-    `Encoder.enumerate`.
+    next-atom projection (two projections may name the same target).
+
+    Each label's projection is blocked under an activation literal before
+    the next solve; the blocking clauses are released once the state is
+    exhausted. A generator abandoned early keeps them, which only matters
+    if the encoder is used further.
     """
     _, next_atoms = encoder.relevant_atoms(state)
-    for label in encoder.enumerate(state, (), next_atoms):
+    act = encoder.new_activation()
+    while True:
+        out = encoder.query(state, acts=(act,))
+        if not out.sat:
+            encoder.solver.release(act)
+            return
+        label = out.assignment
         yield label, successor_state(label.next_bodies)
+        encoder.block_assignment(act, label, next_atoms)
 
 
 def _table(state):
-    """`table_step` with each successor's label left as its row.
+    """Final test and successors of a small state from its truth table.
+
+    Rows run over every valuation of the state's relevant atoms, Tail
+    included; the atom at position j in uid order is bit j of the row index.
+    Each atom's column is one int with a bit per row, so the members'
+    expanded forms are evaluated for all rows at once with `&`, `|` and `^`.
+    The successors are the distinct next-atom projections of the satisfying
+    rows, in the order of their first rows, each labelled by that first row;
+    the final outcome, if sat, is a `_FinalRow` holding the first satisfying
+    row with Tail true. `_label` decodes a row into an `Assignment` over the
+    same atoms as `Encoder.query`'s.
 
     Returns (final outcome, [(row, target), ...], (literal bits, next
     bits)), where the bit lists give what `_label` needs to decode a row, or
-    None when the state has more than TABLE_ATOMS relevant atoms. A sat
-    final outcome is a `_FinalRow`.
+    None when the state has more than TABLE_ATOMS relevant atoms. An unsat
+    final outcome carries the whole state as its core.
     """
     recipes = [_recipe(psi) for psi in sorted(state, key=by_uid)]
     tail = Atom(TAIL)
@@ -169,36 +190,11 @@ def _label(row, bits):
     )
 
 
-def table_step(state):
-    """Final test and successors of a small state from its truth table.
-
-    Rows run over every valuation of the state's relevant atoms, Tail
-    included; the atom at position j in uid order is bit j of the row index.
-    Each atom's column is one int with a bit per row, so the members'
-    expanded forms are evaluated for all rows at once with `&`, `|` and `^`.
-    The successors are the distinct next-atom projections of the satisfying
-    rows, in the order of their first rows, each labelled by that first row;
-    the final assignment is the first satisfying row with Tail true. Labels
-    and final assignments carry the same atoms as `Encoder.query`'s.
-
-    Returns (final outcome, [(label, target), ...]), or None when the state
-    has more than TABLE_ATOMS relevant atoms; a final outcome that is unsat
-    carries the whole state as its core.
-    """
-    table = _table(state)
-    if table is None:
-        return None
-    final, steps, bits = table
-    if final.sat:
-        final = QueryOutcome(final.assignment, None)
-    return final, [(_label(row, bits), target) for row, target in steps]
-
-
 @dataclass
 class TransitionSystem:
     """A state graph. A table-decided state keeps the rows of its outgoing
-    edges, with the bits to decode them in `row_bits`; `edges`, `preds` and
-    `label` decode them into `Assignment`s when read. Its final outcome, if
+    edges, with the bits to decode them in `row_bits`; `edges` and `label`
+    decode them into `Assignment`s when read. Its final outcome, if
     sat, likewise decodes its assignment when read."""
 
     states: list
@@ -216,7 +212,7 @@ class TransitionSystem:
 
     @property
     def table_states(self):
-        """States decided by `table_step`."""
+        """States decided by `_table`."""
         return len(self.row_bits)
 
     def label(self, source, label):
@@ -229,11 +225,6 @@ class TransitionSystem:
         """(source, label, target) per edge, decoded on each read."""
         return [(i, self.label(i, label), j) for i, label, j in self.steps]
 
-    @property
-    def preds(self):
-        """Discovery edge of every state but the initial one, as
-        (source, label), decoded on each read."""
-        return {j: (i, self.label(i, label)) for j, (i, label) in self.parents.items()}
 
 
 def _explore(f, limits, stop_on_final):
@@ -248,7 +239,7 @@ def _explore(f, limits, stop_on_final):
     depth = [0]
     edges = []
     final = {}
-    preds = {}
+    parents = {}
     tabled = {}  # successors of table-decided states not yet expanded
     row_bits = {}
 
@@ -267,7 +258,7 @@ def _explore(f, limits, stop_on_final):
         sat_calls = live = 0
         if encoder is not None:
             sat_calls, live = encoder.sat_calls, len(encoder.solver.clauses)
-        return TransitionSystem(states, edges, final, depth, sat_calls, preds, live,
+        return TransitionSystem(states, edges, final, depth, sat_calls, parents, live,
                                 row_bits)
 
     decide(0)
@@ -290,7 +281,7 @@ def _explore(f, limits, stop_on_final):
                     states.append(target)
                     index[target] = j
                     depth.append(depth[i] + 1)
-                    preds[j] = (i, label)
+                    parents[j] = (i, label)
                     decide(j)
                     queue.append(j)
                 edges.append((i, label, j))

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ltlfsat.abstraction import (
     Assignment,
     Encoder,
-    enumerate_assignments,
     expanded_atoms,
     propositional_atoms,
     xnf,
@@ -29,6 +28,7 @@ from ltlfsat.formula import (
     WeakNext,
     TrueConst,
     atoms,
+    by_uid,
     closure,
     conjuncts,
     parse,
@@ -40,6 +40,35 @@ from ltlfsat.semantics import evaluate
 
 a, b, c, d, p = Atom("a"), Atom("b"), Atom("c"), Atom("d"), Atom("p")
 tail = Atom(TAIL)
+
+
+def enumerate_assignments(target, *, encoder=None):
+    """Yield every assignment of the expanded target over its relevant atoms.
+
+    Each found assignment is blocked by its full projection, literal atoms
+    included, before the next solve, so the enumeration is exhaustive and
+    free of duplicates; the order is engine-dependent. `successors` blocks
+    the next-atom projection only.
+    """
+    enc = encoder if encoder is not None else Encoder()
+    state = target if isinstance(target, frozenset) else frozenset(conjuncts(target))
+    lit_atoms, next_atoms = enc.relevant_atoms(state)
+    act = enc.new_activation()
+    while True:
+        out = enc.query(state, acts=(act,))
+        if not out.sat:
+            enc.solver.release(act)
+            return
+        yield out.assignment
+        values = dict(out.assignment.literals)
+        clause = [-act]
+        for atom in sorted(lit_atoms, key=by_uid):
+            v = enc.atom_var(atom)
+            clause.append(-v if values[atom.name] else v)
+        for n in sorted(next_atoms, key=by_uid):
+            v = enc.atom_var(n)
+            clause.append(-v if n.operand in out.assignment.next_bodies else v)
+        enc.solver.add_clause(clause)
 
 
 def test_propositional_atoms_of_mixed_formula():

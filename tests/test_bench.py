@@ -12,12 +12,49 @@ from ltlfsat.bench import (
     instances,
     render_csv,
     run_suite,
-    surface_length,
     write_corpus,
 )
 from ltlfsat.cdlsc import check
 from ltlfsat.errors import Limits
-from ltlfsat.formula import atoms, conjuncts, parse, render
+from ltlfsat.formula import (
+    FALSE,
+    TRUE,
+    Atom,
+    FalseConst,
+    Next,
+    Not,
+    Release,
+    TrueConst,
+    Until,
+    atoms,
+    conjuncts,
+    parse,
+    render,
+)
+
+
+def surface_length(f):
+    """Drawn-node count of a generated formula.
+
+    Globally/eventually were drawn as single operators, so their constant
+    left sides do not count; generated formulas never contain free-standing
+    constants.
+    """
+    count = 0
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        count += 1
+        kind = type(g)
+        if kind is TrueConst or kind is FalseConst:
+            raise ValueError("free-standing constant in a generated formula")
+        if kind is Not or kind is Next:
+            stack.append(g.operand)
+        elif (kind is Release and g.left is FALSE) or (kind is Until and g.left is TRUE):
+            stack.append(g.right)
+        elif kind is not Atom:
+            stack += (g.left, g.right)
+    return count
 
 
 def test_gen_random_is_deterministic():
@@ -112,13 +149,6 @@ def test_run_suite_cross_check_agrees():
     slow = run_suite(spec, solver="naive")
     assert [r.verdict for r in fast.rows] == [r.verdict for r in slow.rows]
     assert compare_reports(fast, slow) == []
-
-
-def test_run_suite_parallel_matches_serial():
-    spec = BenchSpec(family="random", count=12, seed=3)
-    serial = run_suite(spec, solver="cdlsc", jobs=1)
-    parallel = run_suite(spec, solver="cdlsc", jobs=3)
-    assert [r.verdict for r in serial.rows] == [r.verdict for r in parallel.rows]
 
 
 def test_aborts_are_rows_not_verdicts():

@@ -37,7 +37,6 @@ from ltlfsat.formula import (
     Release,
     Until,
     closure,
-    is_nnf,
     is_tnf,
     parse,
     render,
@@ -46,6 +45,7 @@ from ltlfsat.formula import (
 )
 from ltlfsat.semantics import evaluate
 from ltlfsat.transition import NaiveResult, build_full_system, naive_check
+from test_formula import is_nnf
 from test_transition import _holds
 
 a, b, tail = Atom("a"), Atom("b"), Atom(TAIL)
@@ -428,6 +428,20 @@ def test_engines_take_limits_only_as_one_object(engine):
     assert not {f.name for f in dataclasses.fields(Limits)} & set(params)
 
 
+@pytest.mark.parametrize("field, malformed, least", [
+    ("timeout", float("nan"), 0.0),
+    ("timeout", -1.0, 0.0),
+    ("max_frames", -1, 0),
+    ("max_sat_calls", -1, 0),
+    ("state_limit", 0, 1),
+    ("brute_bound", 0, 1),
+])
+def test_malformed_limits_are_rejected_when_made(field, malformed, least):
+    with pytest.raises(ValueError, match=field):
+        Limits(**{field: malformed})
+    assert getattr(Limits(**{field: least}), field) == least
+
+
 def _eventualities(n):
     names = [f"p{i}" for i in range(1, n + 1)]
     pairs = [f"!({p} & {q})" for i, p in enumerate(names) for q in names[i + 1:]]
@@ -441,6 +455,36 @@ def test_pushes_are_counted():
     assert not verdict.sat
     assert verdict.stats.pushes > 0
     assert verdict.invariant_level == inv_found(verdict.frames)
+
+
+@pytest.mark.parametrize("f", [
+    gen_random(3, 14, 0.5, 489),
+    gen_random(3, 12, 0.5, 607),
+    gen_random(3, 14, 0.5, 729),
+    gen_conjunction(237, 10, 1237, alphabet_size=4),
+], ids=["random-489", "random-607", "random-729", "conjunction-237"])
+def test_the_push_pass_stops_at_the_fixpoint(f):
+    """The pass that finds the fixpoint returns it at once: it makes no push
+    query above that level. On these formulas, pushing on would query
+    frames above it."""
+    passes = []
+    push, step = cdlsc._Run._push, cdlsc._Run._step
+
+    def recording_push(run, frame_level):
+        passes.append([])
+        return push(run, frame_level)
+
+    def recording_step(run, state, level, **kwargs):
+        if kwargs.get("push"):
+            passes[-1].append(level)
+        return step(run, state, level, **kwargs)
+
+    with mock.patch.object(cdlsc._Run, "_push", recording_push), \
+            mock.patch.object(cdlsc._Run, "_step", recording_step):
+        verdict = check(f)
+    assert not verdict.sat
+    assert verdict.invariant_level == inv_found(verdict.frames)
+    assert passes[-1] and max(passes[-1]) <= verdict.invariant_level
 
 
 @pytest.mark.parametrize("n", [10, 20, 40])

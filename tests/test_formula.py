@@ -31,7 +31,6 @@ from ltlfsat.formula import (
     atoms,
     closure,
     conjuncts,
-    is_nnf,
     is_tnf,
     parse,
     render,
@@ -40,6 +39,11 @@ from ltlfsat.formula import (
     to_tnf,
 )
 from ltlfsat.semantics import evaluate
+
+
+def is_nnf(f):
+    """True when negation occurs only directly above atoms."""
+    return not any(type(g) is Not and type(g.operand) is not Atom for g in subformulas(f))
 
 
 def test_parse_overview_formula():
@@ -624,6 +628,31 @@ def test_no_check_in_the_package_is_an_assert_statement():
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+
+
+def test_every_function_and_class_of_the_package_has_a_use_outside_the_tests():
+    # a helper that only tests call belongs in the tests; a use is a name,
+    # an attribute or an import in the package, whose `__init__` holds the
+    # exports, or in the benchmark harness
+    package = Path(formula.__file__).parent
+    harness = package.parents[1] / "perfbench"
+    sources = sorted(package.glob("*.py"))
+    sources += [p for p in sorted(harness.glob("*.py")) if p.name != "test_perfbench.py"]
+    defined, used = {}, set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and path.parent == package):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+    unused = {name: where for name, where in defined.items()
+              if name not in used and not (name.startswith("__") and name.endswith("__"))}
+    assert unused == {}
 
 
 def test_nodes_hash_and_compare_by_identity():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ltlfsat
-from ltlfsat.abstraction import Assignment, Encoder, enumerate_assignments, expanded_atoms, xnf
+from ltlfsat.abstraction import Assignment, Encoder, QueryOutcome, expanded_atoms, xnf
 from ltlfsat.bench import gen_random
 from ltlfsat.errors import Limits, StateLimitExceeded, TimeoutExceeded
 from ltlfsat.formula import (
@@ -40,9 +40,11 @@ from ltlfsat.transition import (
     naive_check,
     state_of,
     successor_state,
+    _label,
+    _table,
     successors,
-    table_step,
 )
+from test_abstraction import enumerate_assignments
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 tail = Atom(TAIL)
@@ -352,6 +354,25 @@ def test_export_dot_contains_states_and_edges():
     assert "->" in text
 
 
+def table_step(state):
+    """`_table` with every row decoded: (final outcome, [(label, target),
+    ...]), a sat final outcome as a `QueryOutcome`, or None when the state
+    has more than TABLE_ATOMS relevant atoms."""
+    table = _table(state)
+    if table is None:
+        return None
+    final, steps, bits = table
+    if final.sat:
+        final = QueryOutcome(final.assignment, None)
+    return final, [(_label(row, bits), target) for row, target in steps]
+
+
+def preds(ts):
+    """Discovery edge of every state of ts but the initial one, as (source,
+    label), decoded."""
+    return {j: (i, ts.label(i, label)) for j, (i, label) in ts.parents.items()}
+
+
 def _reference_table(state):
     """Per-row reference for `table_step`: scan the rows in ascending order,
     keeping the first satisfying row of each next-atom projection and the
@@ -417,7 +438,7 @@ def test_table_matches_row_reference_on_drawn_states(parts):
 
 def test_system_labels_are_reference_assignments(anchor_reference):
     """Edge labels of table-decided states are kept as rows and decoded when
-    `edges` or `preds` is read; each reader gets the reference's label."""
+    `edges` or `label` is read; each reader gets the reference's label."""
     ts, reference = anchor_reference
     assert ts.table_states == ts.state_count
     steps = {i: ref[1] for i, ref in enumerate(reference)}
@@ -428,8 +449,9 @@ def test_system_labels_are_reference_assignments(anchor_reference):
     for i, got in out.items():
         for (label, _), (ref, _) in zip(got, steps[i]):
             assert type(label) is Assignment and hash(label) == hash(ref)
-    assert set(ts.preds) == set(range(1, ts.state_count))
-    for j, (i, label) in ts.preds.items():
+    discovered = preds(ts)
+    assert set(discovered) == set(range(1, ts.state_count))
+    for j, (i, label) in discovered.items():
         ref = next(ref for ref, target in steps[i] if target == ts.states[j])
         assert type(label) is Assignment and label == ref and hash(label) == hash(ref)
 
