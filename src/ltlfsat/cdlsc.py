@@ -19,19 +19,24 @@ lies inside its successor (see `_Run._step`). Pushes reuse it the same way,
 which makes a failed push wait for a core that covers its successor, as in
 triggered clause pushing (Suda, 2013).
 
-Each frame blocks successors in a solver of its own, as in Bradley's IC3,
-so a query propagates through the cores of its frame only. Frame 0 shares
-the run's solver with the final-position queries, whose member encodings it
-would otherwise repeat.
+A step or push query of a state with at most `TABLE_ATOMS` relevant atoms
+is decided by the state's truth table (`transition.truth_table`), with
+frame i's cores as a row filter (`ConflictSequence.table_query`); its cores
+are exact, so they are not rechecked. Every larger query blocks successors
+in a solver of its own frame, as in Bradley's IC3, so a query propagates
+through the cores of its frame only. Frame 0 shares the run's solver with
+the final-position queries, whose member encodings it would otherwise
+repeat; final-position queries always go to that solver.
 
 `ConflictSequence` holds the frames, their open cores and their solvers;
 `inv_found` is the exact propositional test the syntactic fixpoint implies.
-Every solver query of a run, step, push or final-position, goes through
+Every query of a run, step, push or final-position, goes through
 `_Run._query`, which checks the deadline and `Limits.max_sat_calls` before
-the solve, counts it in `Stats.sat_calls` (push queries also in
-`Stats.pushes`) and numbers its `--dump-cnf` file by that count.
-`Stats.reused` counts the step queries answered from a stored assignment,
-which reach no solver.
+the query is decided, counts it in `Stats.sat_calls` (push queries also in
+`Stats.pushes`, table-decided ones also in `Stats.table_queries`) and
+numbers its `--dump-cnf` file by that count; with a dump directory every
+query goes to a solver, so each has its file. `Stats.reused` counts the
+step queries answered from a stored assignment, which are not queries.
 """
 
 from __future__ import annotations
@@ -51,10 +56,30 @@ from .errors import (
     TraceBoundExceeded,
     WitnessError,
 )
-from .formula import TAIL, And, FiniteTrace, atoms, by_uid, closure, is_tnf, parse, to_nnf, to_tnf
+from .formula import (
+    TAIL,
+    And,
+    FiniteTrace,
+    Next,
+    atoms,
+    by_uid,
+    closure,
+    is_tnf,
+    parse,
+    to_nnf,
+    to_tnf,
+)
 from .satengine import SatSolver
 from .semantics import MAX_BRUTE_ATOMS, brute_force_sat, evaluate
-from .transition import assemble_trace, naive_check, state_of, successor_state
+from .transition import (
+    _label,
+    _lowest,
+    assemble_trace,
+    naive_check,
+    state_of,
+    successor_state,
+    truth_table,
+)
 
 ENGINES = ("cdlsc", "naive", "brute")
 
@@ -65,8 +90,9 @@ class Stats:
     sat_calls: int = 0
     frames: int = 0
     elapsed: float = 0.0
-    pushes: int = 0  # core-pushing queries that reached a solver, also counted in sat_calls
-    reused: int = 0  # step queries answered from a stored successor, without a solve
+    pushes: int = 0  # core-pushing queries made, also counted in sat_calls
+    reused: int = 0  # step queries answered from a stored successor, not counted in sat_calls
+    table_queries: int = 0  # queries decided by truth table, also counted in sat_calls
     live_clauses: int = 0  # clauses held by all of the run's solvers at the end
     table_states: int = 0  # states the naive engine decided by truth table
 
@@ -91,14 +117,15 @@ class Verdict:
 class ConflictSequence:
     """Frames of member cores, each blocking successors in the search.
 
-    Each frame is an insertion-ordered set (dict keys) of cores. A state at
-    level i is queried in frame i's encoder, where frame i's cores block
-    successors under one activation literal, so a new core takes effect on
-    the very next query. Frame 0 lives in the run's encoder, which also
-    answers the final-position queries. Every other frame gets a fresh
-    encoder of its own when it is first queried, so no query visits the
-    blocking clauses of another frame; it blocks the cores the frame holds
-    by then.
+    Each frame is an insertion-ordered set (dict keys) of cores. A small
+    state at level i is queried by `table_query`, which reads frame i's
+    cores as they stand. A larger one is queried in frame i's encoder,
+    where frame i's cores block successors under one activation literal, so
+    a new core takes effect on the very next query. Frame 0 lives in the
+    run's encoder, which also answers the final-position queries. Every
+    other frame gets a fresh encoder of its own when it first has a solver
+    query, so no query visits the blocking clauses of another frame; it
+    blocks the cores the frame holds by then.
 
     The fixpoint is detected syntactically, as in IC3: level i is a fixpoint
     when frames 0..i are nonempty and every core of frame i is subsumed by a
@@ -110,8 +137,9 @@ class ConflictSequence:
     so a subsumed core stays subsumed.
 
     Each core of a frame is also filed under its lowest-uid member. A core
-    inside a set has that member in the set, so `subsumed` looks only at the
-    cores filed under the set's members and never scans the frame.
+    inside a set has that member in the set, so `inside`, which `subsumed`
+    and `table_query` use, looks only at the cores filed under the set's
+    members and never scans the frame.
     """
 
     def __init__(self, encoder):
@@ -162,14 +190,64 @@ class ConflictSequence:
         own = [c[0] for c in self._contexts[1:] if c is not None]
         return sum(len(e.solver.clauses) for e in [self._encoder, *own])
 
-    def subsumed(self, j, members):
-        """Whether some core of frame j is a subset of members."""
+    def inside(self, j, members):
+        """The cores of frame j that are subsets of members, each once."""
         filed = self._filed[j]
         for psi in members:
             cores = filed.get(psi)
-            if cores is not None and any(d <= members for d in cores):
-                return True
-        return False
+            if cores is not None:
+                for core in cores:
+                    if core <= members:
+                        yield core
+
+    def subsumed(self, j, members):
+        """Whether some core of frame j is a subset of members."""
+        return any(self.inside(j, members))
+
+    def table_query(self, state, i):
+        """Step query of a small state under frame i, decided by the state's
+        truth table (`truth_table`) with no solver; None when the state has
+        more than TABLE_ATOMS relevant atoms.
+
+        Frame i's cores act as a row filter. A core inside the state's next
+        bodies blocks the rows where all of its next-atoms hold; a core with
+        a member outside them blocks nothing, since a solver may set that
+        next-atom false. The query is sat when some row satisfies every
+        member and is not blocked, and the lowest such row is its
+        assignment. An unsat answer's core drops members in uid order while
+        the rest still leave no such row. Each test is exact, so the core is
+        deletion-minimal and needs no recheck: a column that only dropped
+        members constrain is free, and clearing a next-atom never adds a
+        block.
+        """
+        table = truth_table(state)
+        if table is None:
+            return None
+        members, masks, full, column, bits = table
+        nexts = {n.operand: mask for n, mask in column.items() if type(n) is Next}
+        free = full
+        for core in self.inside(i, nexts.keys()):
+            blocked = full
+            for psi in core:
+                blocked &= nexts[psi]
+            free &= ~blocked
+        rows = free
+        for mask in masks:
+            rows &= mask
+        if rows:
+            return QueryOutcome(_label(_lowest(rows), bits), None)
+        # rest[j]: the free rows that every member from j on satisfies
+        rest = [free]
+        for mask in reversed(masks):
+            rest.append(rest[-1] & mask)
+        rest.reverse()
+        core = []
+        kept = full
+        for j, psi in enumerate(members):
+            if kept & rest[j + 1]:
+                core.append(psi)
+                kept &= masks[j]
+        return QueryOutcome(None, frozenset(core))
 
     def close(self, i):
         """Drop frame i's open cores that frame i+1 subsumes; True if none is left."""
@@ -290,10 +368,16 @@ class _Run:
         self.stats = Stats()  # the counters; the rest is filled in by `_stats`
         self._last = {}  # state -> assignment of its last sat step query
 
-    def _query(self, encoder, state, *, final=False, acts=(), push=False):
-        """Make one solver query of the run: check the limits before the
-        solve, count the query, and write it to the clause file that count
-        numbers when there is a dump directory."""
+    def _query(self, state, level=None, *, push=False):
+        """Make one query of the run: a final-position query on the run's
+        solver when level is None, else a step query under frame level.
+
+        Checks the limits before the query is decided and counts it. A step
+        query of a state with at most TABLE_ATOMS relevant atoms is decided
+        by `ConflictSequence.table_query`, unless there is a dump directory;
+        every other query goes to a solver, and with a dump directory it is
+        first written to the clause file that its count numbers.
+        """
         self.deadline.check()
         stats = self.stats
         limit = self.limits.max_sat_calls
@@ -304,7 +388,15 @@ class _Run:
         dump = None
         if self.dump_dir is not None:
             dump = os.path.join(self.dump_dir, f"query{stats.sat_calls:05d}.cnf")
-        return encoder.query(state, final=final, acts=acts, dump=dump)
+        elif level is not None:
+            out = self.sequence.table_query(state, level)
+            if out is not None:
+                stats.table_queries += 1
+                return out
+        if level is None:
+            return self.encoder.query(state, final=True, dump=dump)
+        encoder, act = self.sequence.context(level)
+        return encoder.query(state, acts=(act,), dump=dump)
 
     def _over_frame_limit(self):
         frames = len(self.sequence)
@@ -318,7 +410,7 @@ class _Run:
 
     def check(self):
         start = time.monotonic()
-        out = self._query(self.encoder, self.s0, final=True)
+        out = self._query(self.s0)
         if out.sat:
             return self._sat_verdict([], out.assignment, start)
         self.sequence.add_core(0, out.core)
@@ -360,7 +452,7 @@ class _Run:
             succ = successor_state(out.assignment.next_bodies)
             self.seen.add(succ)
             if level == 0:
-                fout = self._query(self.encoder, succ, final=True)
+                fout = self._query(succ)
                 if fout.sat:
                     self.spine = tuple(spine + [succ])
                     return labels + [out.assignment], fout.assignment
@@ -374,16 +466,16 @@ class _Run:
     def _step(self, state, level, *, push=False):
         """Step query of state under frame level's blocking clauses.
 
-        The state's last sat step answer is returned again, without a solve,
+        The state's last sat step answer is returned again, without a query,
         while no core of the frame lies inside its successor (`_reused`).
-        Otherwise the frame's solver answers, and a sat answer is stored.
+        Otherwise `_query` answers, by table or by the frame's solver, and a
+        sat answer is stored.
         """
         last = self._reused(state, level)
         if last is not None:
             self.stats.reused += 1
             return QueryOutcome(last, None)
-        encoder, act = self.sequence.context(level)
-        out = self._query(encoder, state, acts=(act,), push=push)
+        out = self._query(state, level, push=push)
         if out.sat:
             self._last[state] = out.assignment
         return out
@@ -402,10 +494,12 @@ class _Run:
         selector (see `Encoder.member`): an unassumed member's hold through
         its false selector, and an assumed member's through its leaves,
         whose recomputed values depend on the member's atoms only. Those
-        atoms have their values in the model the assignment came from, which
-        satisfied the same clauses, so each clause keeps a true leaf. A
-        blocking clause fails only when its whole core lies inside t, and
-        learned clauses follow from the original ones.
+        atoms have their values in the model or truth-table row the
+        assignment came from, which satisfied every member's expansion, so
+        each clause keeps a true leaf. A blocking clause fails only when its
+        whole core lies inside t, and learned clauses follow from the
+        original ones. For the same reasons the assignment's row survives
+        the row filter of `ConflictSequence.table_query`.
         """
         last = self._last.get(state)
         if last is None or self.sequence.subsumed(level, last.next_bodies):

@@ -120,7 +120,7 @@ def _from_args(cls, args):
 def _print_stats(stats):
     print(
         f"stats: states_expanded={stats.states_expanded} table_states={stats.table_states}"
-        f" sat_calls={stats.sat_calls}"
+        f" sat_calls={stats.sat_calls} table_queries={stats.table_queries}"
         f" frames={stats.frames} pushes={stats.pushes} reused={stats.reused}"
         f" live_clauses={stats.live_clauses}"
         f" elapsed={stats.elapsed:.3f}s"

@@ -18,12 +18,15 @@ class Limits:
 
     `timeout` (seconds) is read by every engine. `max_frames` and
     `max_sat_calls` are read by the conflict-driven checker (`cdlsc.check`);
-    `max_frames` None means 2**|closure|. `state_limit` is read by the state
+    `max_sat_calls` bounds every query of its run, those decided by truth
+    table included (`Stats.sat_calls`). `state_limit` is read by the state
     explorations (`naive_check`, `build_full_system`), and `brute_bound`,
-    the trace-length bound, by the brute engine of `cdlsc.solve`. A limit of
-    None is no limit. A malformed limit raises ValueError when the limits
-    are made: a timeout that is NaN or negative, a negative frame or SAT
-    call limit, or a state limit or trace-length bound below 1.
+    the trace-length bound, by the brute engine of `cdlsc.solve`. A
+    `timeout` or `max_sat_calls` of None is no limit, and a `max_frames` of
+    None means 2**|closure|; the other two limits cannot be None. A
+    malformed limit raises ValueError when the limits are made: a timeout
+    that is NaN or negative, a negative frame or SAT call limit, or a state
+    limit or trace-length bound that is None or below 1.
     """
 
     timeout: float | None = None
@@ -36,10 +39,12 @@ class Limits:
         # written so that NaN, which compares false with everything, fails
         if self.timeout is not None and not self.timeout >= 0:
             raise ValueError(f"timeout must be a nonnegative number, got {self.timeout}")
-        for name, least in (("max_frames", 0), ("max_sat_calls", 0),
-                            ("state_limit", 1), ("brute_bound", 1)):
+        for name, least, optional in (("max_frames", 0, True), ("max_sat_calls", 0, True),
+                                      ("state_limit", 1, False), ("brute_bound", 1, False)):
             value = getattr(self, name)
-            if value is not None and value < least:
+            if value is None and optional:
+                continue
+            if value is None or value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
 
 

@@ -7,15 +7,17 @@ next-atom bodies of the assignments that satisfy the members' expanded
 distinguished empty-obligation state {true}, which is final by construction.
 
 A state with at most TABLE_ATOMS relevant atoms (literal atoms, next-atoms
-and Tail) is decided by `_table`, one truth table over every valuation of
-those atoms, with no solver: each atom's column is an int with one bit per
-row, and the members' expanded forms are evaluated bitwise over it in the
-node orders their cached encoding recipes keep (`abstraction._recipe`):
-every node of the expanded form, where `Encoder.member` defines only the
-nodes below its skeleton's leaves. A larger state goes to the system's
-`Encoder`, created when the first such state is met:
-`successors(encoder, state)` enumerates its distinct successors, and
-`encoder.query(state, final=True)` tests whether it can end the trace.
+and Tail) is decided by `_table` from `truth_table`, one truth table over
+every valuation of those atoms, with no solver: each atom's column is an
+int with one bit per row, and the members' expanded forms are evaluated
+bitwise over it in the node orders their cached encoding recipes keep
+(`abstraction._recipe`): every node of the expanded form, where
+`Encoder.member` defines only the nodes below its skeleton's leaves. A
+larger state goes to the system's `Encoder`, created when the first such
+state is met: `successors(encoder, state)` enumerates its distinct
+successors, and `encoder.query(state, final=True)` tests whether it can
+end the trace. `cdlsc` decides its small step queries from `truth_table`
+too.
 
 A system keeps the edges out of a table-decided state, and its final
 assignment, as rows, and decodes a row into its `Assignment` only when that
@@ -50,7 +52,8 @@ from .semantics import column_masks
 # columns and each group of rows split off by a next-atom costs 2**k bits:
 # time and memory double with every atom, while SAT enumeration grows with
 # the successors found. The oracle suites' states have at most 11 relevant
-# atoms; the conjunction suites' initial states have 21 to 35.
+# atoms; the conjunction suites' initial states have 21 to 35. The same cap
+# decides which cdlsc step and push queries are answered by table.
 TABLE_ATOMS = 14
 
 TRUE_STATE = frozenset({TRUE})
@@ -86,28 +89,26 @@ def successors(encoder, state):
         encoder.block_assignment(act, label, next_atoms)
 
 
-def _table(state):
-    """Final test and successors of a small state from its truth table.
+def truth_table(state):
+    """The truth table of a small state, or None when it has more than
+    TABLE_ATOMS relevant atoms.
 
     Rows run over every valuation of the state's relevant atoms, Tail
     included; the atom at position j in uid order is bit j of the row index.
-    Each atom's column is one int with a bit per row, so the members'
-    expanded forms are evaluated for all rows at once with `&`, `|` and `^`.
-    The successors are the distinct next-atom projections of the satisfying
-    rows, in the order of their first rows, each labelled by that first row;
-    the final outcome, if sat, is a `_FinalRow` holding the first satisfying
-    row with Tail true. `_label` decodes a row into an `Assignment` over the
-    same atoms as `Encoder.query`'s.
+    Each atom's column is one int with a bit per row, so each member's
+    expanded form is evaluated for all rows at once with `&`, `|` and `^`, in
+    the order of its `_recipe` steps.
 
-    Returns (final outcome, [(row, target), ...], (literal bits, next
-    bits)), where the bit lists give what `_label` needs to decode a row, or
-    None when the state has more than TABLE_ATOMS relevant atoms. An unsat
-    final outcome carries the whole state as its core.
+    Returns (members, masks, full, column, bits): the members in uid order,
+    each one's row mask, the mask of every row, each relevant atom's column
+    in uid order, and the (literal bits, next bits) with which `_label`
+    decodes a row into an `Assignment` over the same atoms as a step
+    `Encoder.query`'s.
     """
-    recipes = [_recipe(psi) for psi in sorted(state, key=by_uid)]
-    tail = Atom(TAIL)
+    members = sorted(state, key=by_uid)
+    recipes = [_recipe(psi) for psi in members]
     lits, nexts = union_atoms(recipes)
-    columns = sorted(lits | nexts | {tail}, key=by_uid)
+    columns = sorted(lits | nexts | {Atom(TAIL)}, key=by_uid)
     if len(columns) > TABLE_ATOMS:
         return None
     full = (1 << (1 << len(columns))) - 1
@@ -115,7 +116,7 @@ def _table(state):
     # the value of every node evaluated so far, seeded with the columns and
     # the constants
     value = {**column, TRUE: full, FALSE: 0}
-    sat = full
+    masks = []
     for steps, *_ in recipes:
         for g in steps:
             if g in value:
@@ -127,22 +128,39 @@ def _table(state):
                 value[g] = value[g.left] | value[g.right]
             else:  # a negated atom
                 value[g] = value[g.operand] ^ full
-        sat &= value[steps[-1]]
-
+        masks.append(value[steps[-1]])
     bit = {a: 1 << j for j, a in enumerate(columns)}
-    literal_bits = [(a.name, bit[a]) for a in lits]
-    next_bits = [(n.operand, bit[n]) for n in nexts]
-    bits = (literal_bits, next_bits)
-    tail_rows = sat & column[tail]
+    bits = ([(a.name, bit[a]) for a in lits], [(n.operand, bit[n]) for n in nexts])
+    return members, masks, full, column, bits
+
+
+def _table(state):
+    """Final test and successors of a small state from its truth table.
+
+    The successors are the distinct next-atom projections of the satisfying
+    rows, in the order of their first rows, each labelled by that first row;
+    the final outcome, if sat, is a `_FinalRow` holding the first satisfying
+    row with Tail true.
+
+    Returns (final outcome, [(row, target), ...], bits), where bits is what
+    `_label` needs to decode a row, or None when `truth_table` gives none.
+    An unsat final outcome carries the whole state as its core.
+    """
+    table = truth_table(state)
+    if table is None:
+        return None
+    _, masks, sat, column, bits = table
+    for mask in masks:
+        sat &= mask
+    tail_rows = sat & column[Atom(TAIL)]
     if tail_rows:
-        final = _FinalRow(_lowest(tail_rows), bits, bit[tail])
+        final = _FinalRow(_lowest(tail_rows), bits)
     else:
         final = QueryOutcome(None, frozenset(state))
     # one group of satisfying rows per distinct next-atom projection
     groups = [sat] if sat else []
-    for a in columns:
+    for a, mask in column.items():
         if type(a) is Next:
-            mask = column[a]
             split = []
             for rows in groups:
                 on = rows & mask
@@ -153,7 +171,7 @@ def _table(state):
             groups = split
     steps = []
     for row in sorted(map(_lowest, groups)):
-        bodies = frozenset(body for body, b in next_bits if row & b)
+        bodies = frozenset(body for body, b in bits[1] if row & b)
         steps.append((row, successor_state(bodies)))
     return final, steps, bits
 
@@ -167,17 +185,17 @@ class _FinalRow:
     """The sat final outcome of a table-decided state, kept as its first row
     with Tail true; `assignment` decodes the row when read."""
 
-    __slots__ = ("row", "bits", "tail_bit")
+    __slots__ = ("row", "bits")
     sat = True
     core = None
 
-    def __init__(self, row, bits, tail_bit):
-        self.row, self.bits, self.tail_bit = row, bits, tail_bit
+    def __init__(self, row, bits):
+        self.row, self.bits = row, bits
 
     @property
     def assignment(self):
-        literal_bits, next_bits = self.bits
-        return _label(self.row, (literal_bits + [(TAIL, self.tail_bit)], next_bits))
+        label = _label(self.row, self.bits)
+        return Assignment(label.literals | {(TAIL, True)}, label.next_bodies)
 
 
 def _label(row, bits):

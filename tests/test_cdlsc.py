@@ -6,7 +6,7 @@ from collections import deque
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ltlfsat.bench import gen_conjunction, gen_random
 import ltlfsat.cdlsc as cdlsc
@@ -36,6 +36,7 @@ from ltlfsat.formula import (
     Not,
     Release,
     Until,
+    by_uid,
     closure,
     is_tnf,
     parse,
@@ -44,7 +45,7 @@ from ltlfsat.formula import (
     to_tnf,
 )
 from ltlfsat.semantics import evaluate
-from ltlfsat.transition import NaiveResult, build_full_system, naive_check
+from ltlfsat.transition import NaiveResult, build_full_system, naive_check, truth_table
 from test_formula import is_nnf
 from test_transition import _holds
 
@@ -229,6 +230,73 @@ def test_subsumption_index_answers_as_a_frame_scan(steps):
                 assert sequence.subsumed(j, members) == _covered(frame, members), (j, members)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_STEPS)
+def test_cores_inside_a_set_are_those_a_frame_scan_finds(steps):
+    sequence = ConflictSequence(Encoder())
+    for step in steps:
+        if step is not None:
+            sequence.add_core(*step)
+    for j, frame in enumerate(sequence.frames):
+        for members in _SUBSETS:
+            inside = list(sequence.inside(j, members))
+            assert len(inside) == len(set(inside))
+            assert set(inside) == {core for core in frame if core <= members}, (j, members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 5000),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+    core_picks=st.lists(st.lists(st.integers(0, 10**6), min_size=1, max_size=3), max_size=6),
+    level=st.integers(0, 1),
+)
+def test_table_queries_agree_with_the_frame_solver(seed, picks, core_picks, level):
+    """Random small states of a random formula's closure, queried under a
+    frame of random cores drawn mostly from the state's next bodies: the
+    table's answer agrees with the frame's own solver, a sat assignment's
+    projection is sat there, and an unsat core is a deletion-minimal unsat
+    subset of the state there."""
+    pool = sorted(closure(to_tnf(to_nnf(gen_random(2, 8, 0.5, seed)))), key=by_uid)
+    state = frozenset(pool[p % len(pool)] for p in picks)
+    table = truth_table(state)
+    assume(table is not None)
+    nexts = [n for n in table[3] if type(n) is Next]
+    drawn = [n.operand for n in nexts] * 3 + pool
+    sequence = ConflictSequence(Encoder())
+    sequence.ensure(1)
+    for core in core_picks:
+        sequence.add_core(level, frozenset(drawn[p % len(drawn)] for p in core))
+    encoder, act = sequence.context(level)
+    out = sequence.table_query(state, level)
+    solved = encoder.query(state, acts=(act,))
+    assert out.sat == solved.sat
+    if out.sat:
+        assignment = out.assignment
+        assert {name for name, _ in assignment.literals} == {
+            name for name, _ in solved.assignment.literals}
+        assert assignment.next_bodies <= {n.operand for n in nexts}
+        fixed = [encoder.atom_var(Atom(name)) * (1 if value else -1)
+                 for name, value in assignment.literals]
+        fixed += [encoder.atom_var(n) * (1 if n.operand in assignment.next_bodies else -1)
+                  for n in nexts]
+        assert encoder.query(state, acts=(act, *fixed)).sat
+    else:
+        core = out.core
+        assert core and core <= state
+        assert not encoder.query(core, acts=(act,)).sat
+        for psi in core:
+            assert encoder.query(core - {psi}, acts=(act,)).sat, psi
+
+
+def test_a_dump_directory_sends_every_query_to_a_solver(tmp_path):
+    f = parse("X X X X a & G (a -> X !a) & F (b & X b)")
+    assert check(f).stats.table_queries > 0
+    verdict = check(f, dump_dir=tmp_path)
+    assert verdict.stats.table_queries == 0
+    assert len(list(tmp_path.iterdir())) == verdict.stats.sat_calls
+
+
 def _pushed_cores(f):
     """Decide f, recording every core that core pushing adds to a frame,
     with the source frame as it stood at the push."""
@@ -389,35 +457,50 @@ def test_each_limit_reaches_its_engine_through_solve(engine, limits, abort):
 
 
 def _counted_check(f, limits):
-    """check(f) under limits, and the solver queries it made, rechecks
-    excluded."""
+    """check(f) under limits, the queries `_Run._query` answered, and the
+    solver queries among them, rechecks excluded."""
     queries = []
-    query = Encoder.query
+    solved = []
+    query = cdlsc._Run._query
+    solve = Encoder.query
 
-    def counting_query(encoder, state, **kwargs):
-        queries.append(kwargs.get("_recheck", False))
-        return query(encoder, state, **kwargs)
+    def counting_query(run, *args, **kwargs):
+        out = query(run, *args, **kwargs)
+        queries.append(out)
+        return out
 
-    with mock.patch.object(Encoder, "query", counting_query):
+    def counting_solve(encoder, state, **kwargs):
+        solved.append(kwargs.get("_recheck", False))
+        return solve(encoder, state, **kwargs)
+
+    with mock.patch.object(cdlsc._Run, "_query", counting_query), \
+            mock.patch.object(Encoder, "query", counting_solve):
         try:
-            return check(f, limits=limits), queries.count(False)
+            out = check(f, limits=limits)
         except SatCallLimitExceeded as abort:
-            return abort, queries.count(False)
+            out = abort
+    return out, len(queries), solved.count(False)
 
 
 def test_sat_call_limit_is_exact():
     # limit 0 stops even the initial state's final-position query
-    abort, made = _counted_check(parse("a"), Limits(max_sat_calls=0))
-    assert isinstance(abort, SatCallLimitExceeded) and made == abort.sat_calls == 0
-    f = parse("X X X X X a & F b & G (b -> X c)")
-    verdict, total = _counted_check(f, Limits())
-    assert verdict.stats.sat_calls == total > 7
+    abort, made, solved = _counted_check(parse("a"), Limits(max_sat_calls=0))
+    assert isinstance(abort, SatCallLimitExceeded) and made == abort.sat_calls == solved == 0
+    # small states are decided by table and large ones, at every step level,
+    # by a solver; both kinds count toward the limit
+    f = parse("F a & F b & F c & F d & F e & G !(a & b) & G (c -> !d) & G (e -> X !e)"
+              " & X X X X X a")
+    verdict, total, solved = _counted_check(f, Limits())
+    stats = verdict.stats
+    assert stats.sat_calls == total > 7
+    assert 0 < stats.table_queries < total
+    assert solved == total - stats.table_queries > 1
     for k in range(total):
-        abort, made = _counted_check(f, Limits(max_sat_calls=k))
+        abort, made, _ = _counted_check(f, Limits(max_sat_calls=k))
         assert isinstance(abort, SatCallLimitExceeded), k
         assert made == abort.sat_calls == k
     # a run that needs exactly its limit still reaches its verdict
-    verdict, made = _counted_check(f, Limits(max_sat_calls=total))
+    verdict, made, _ = _counted_check(f, Limits(max_sat_calls=total))
     assert verdict.sat and verdict.stats.sat_calls == made == total
 
 
@@ -435,6 +518,9 @@ def test_engines_take_limits_only_as_one_object(engine):
     ("max_sat_calls", -1, 0),
     ("state_limit", 0, 1),
     ("brute_bound", 0, 1),
+    # only timeout, max_frames and max_sat_calls may be None
+    ("state_limit", None, 1),
+    ("brute_bound", None, 1),
 ])
 def test_malformed_limits_are_rejected_when_made(field, malformed, least):
     with pytest.raises(ValueError, match=field):
@@ -686,7 +772,9 @@ def test_frame_solvers_block_cores_added_before_they_exist():
 
 
 def test_frame_zero_shares_the_run_encoder():
-    run = cdlsc._Run(_eventualities(4), raw_tnf=False, limits=Limits(),
+    # six eventualities give states past TABLE_ATOMS at frames 1 and up, so
+    # those frames get solvers of their own
+    run = cdlsc._Run(_eventualities(6), raw_tnf=False, limits=Limits(),
                      dump_dir=None, iteration_hook=None)
     created = []
 
@@ -703,7 +791,9 @@ def test_frame_zero_shares_the_run_encoder():
     solvers = [e.solver for e in [run.encoder, *created]]
     assert len({id(s) for s in solvers}) == len(solvers)
     assert verdict.stats.live_clauses == sum(len(s.clauses) for s in solvers)
-    assert verdict.stats.sat_calls == sum(e.sat_calls for e in [run.encoder, *created])
+    solved = verdict.stats.sat_calls - verdict.stats.table_queries
+    assert verdict.stats.table_queries > 0
+    assert solved == sum(e.sat_calls for e in [run.encoder, *created])
 
 
 def test_clause_dumps_number_every_query_of_the_run(tmp_path):

@@ -203,6 +203,17 @@ def test_check_stats_line_reports_table_states(capsys):
     assert "live_clauses=0" in out
 
 
+def test_check_stats_line_reports_table_queries(capsys):
+    # a short chain's step and push queries are decided by truth table, and
+    # its final-position queries by the solver
+    assert main(["check", "--formula", "X X a"]) == EXIT_SAT
+    assert "sat_calls=8 table_queries=5 " in capsys.readouterr().out
+    # sat at the initial state: one final-position query and no step query
+    text = "F a & F b & F c & F d & F e & F f & F g"
+    assert main(["check", "--formula", text]) == EXIT_SAT
+    assert "sat_calls=1 table_queries=0 " in capsys.readouterr().out
+
+
 def test_oracle_subcommand_agreement(capsys):
     code = main(["oracle", "--formula", "(a U b) & F c"])
     out = capsys.readouterr().out
