@@ -224,8 +224,9 @@ class Encoder:
     above a member's leaves get no entry. `member` replays a member's cached
     recipe (see `_recipe`) and encodes only the nodes the table lacks, so
     members that share subterms below their leaves share their definitions.
-    `sat_calls` counts the queries made through this encoder, rechecks
-    excluded.
+    `query` only encodes, solves and decodes; it does not check the cores
+    it returns. `sat_calls` counts the queries made through this encoder,
+    rechecks (`_recheck=True`) excluded.
 
     Single-owner: an encoder belongs to one run; independent encoders may
     run in parallel.
@@ -312,8 +313,12 @@ class Encoder:
 
         Satisfiable queries return the assignment restricted to the state's
         relevant atoms (plus Tail for final-position queries); unsatisfiable
-        ones return the member core, re-checked in isolation. With a dump
-        path, the query is first written there as a clause file.
+        ones return the member core: the members whose selectors the solver
+        reports as failed. An empty core is legitimate: the context alone
+        (e.g. exhausted enumeration blockers) is already contradictory. The
+        core is not checked here: `cdlsc._Run._query`, the one caller that
+        keeps cores, rechecks it with `_recheck=True`. With a dump path, the
+        query is first written there as a clause file.
         """
         members = sorted(state, key=by_uid)
         entries = [self.member(psi) for psi in members]
@@ -341,11 +346,6 @@ class Encoder:
         core = frozenset(
             psi for psi, (p, _, _) in zip(members, entries) if p in failed
         )
-        # an empty core is legitimate: the context alone (e.g. exhausted
-        # enumeration blockers) is already contradictory
-        if not _recheck and core != state:
-            if self.query(core, final=final, acts=acts, _recheck=True).sat:
-                raise AssertionError("unsat core is satisfiable when re-queried alone")
         return QueryOutcome(None, core)
 
     def _dump(self, path, assumptions):

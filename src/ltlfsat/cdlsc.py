@@ -31,12 +31,14 @@ repeat; final-position queries always go to that solver.
 `ConflictSequence` holds the frames, their open cores and their solvers;
 `inv_found` is the exact propositional test the syntactic fixpoint implies.
 Every query of a run, step, push or final-position, goes through
-`_Run._query`, which checks the deadline and `Limits.max_sat_calls` before
-the query is decided, counts it in `Stats.sat_calls` (push queries also in
-`Stats.pushes`, table-decided ones also in `Stats.table_queries`) and
-numbers its `--dump-cnf` file by that count; with a dump directory every
-query goes to a solver, so each has its file. `Stats.reused` counts the
-step queries answered from a stored assignment, which are not queries.
+`_Run._query`. It checks the deadline and `Limits.max_sat_calls` before the
+query is decided, counts it in `Stats.sat_calls` (push queries also in
+`Stats.pushes`, table-decided ones also in `Stats.table_queries`), and
+rechecks every solver core the run keeps. A query's path depends on its
+state and frame alone: a dump directory only records the queries that
+reach a solver, each in the `--dump-cnf` file its count numbers.
+`Stats.reused` counts the step queries answered from a stored assignment,
+which are not queries.
 """
 
 from __future__ import annotations
@@ -374,9 +376,11 @@ class _Run:
 
         Checks the limits before the query is decided and counts it. A step
         query of a state with at most TABLE_ATOMS relevant atoms is decided
-        by `ConflictSequence.table_query`, unless there is a dump directory;
-        every other query goes to a solver, and with a dump directory it is
-        first written to the clause file that its count numbers.
+        by `ConflictSequence.table_query`, whose cores are exact. Every other
+        query goes to a solver; with a dump directory it is first written
+        to the clause file that its count numbers. A solver core that is not
+        the whole state is rechecked right after the query, alone in the
+        same context, since the run keeps it in a frame.
         """
         self.deadline.check()
         stats = self.stats
@@ -385,18 +389,25 @@ class _Run:
             raise SatCallLimitExceeded(limit)
         stats.sat_calls += 1
         stats.pushes += push
-        dump = None
-        if self.dump_dir is not None:
-            dump = os.path.join(self.dump_dir, f"query{stats.sat_calls:05d}.cnf")
-        elif level is not None:
+        final = level is None
+        if final:
+            encoder, acts = self.encoder, ()
+        else:
             out = self.sequence.table_query(state, level)
             if out is not None:
                 stats.table_queries += 1
                 return out
-        if level is None:
-            return self.encoder.query(state, final=True, dump=dump)
-        encoder, act = self.sequence.context(level)
-        return encoder.query(state, acts=(act,), dump=dump)
+            encoder, act = self.sequence.context(level)
+            acts = (act,)
+        dump = None
+        if self.dump_dir is not None:
+            dump = os.path.join(self.dump_dir, f"query{stats.sat_calls:05d}.cnf")
+        out = encoder.query(state, final=final, acts=acts, dump=dump)
+        # an empty core is legitimate: the context alone is contradictory
+        if not out.sat and out.core != state:
+            if encoder.query(out.core, final=final, acts=acts, _recheck=True).sat:
+                raise AssertionError("unsat core is satisfiable when re-queried alone")
+        return out
 
     def _over_frame_limit(self):
         frames = len(self.sequence)

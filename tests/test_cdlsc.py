@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import os
 import signal
 import time
 from collections import deque
@@ -44,6 +45,7 @@ from ltlfsat.formula import (
     to_nnf,
     to_tnf,
 )
+from ltlfsat.satengine import SatSolver
 from ltlfsat.semantics import evaluate
 from ltlfsat.transition import NaiveResult, build_full_system, naive_check, truth_table
 from test_formula import is_nnf
@@ -57,6 +59,8 @@ FIVE = parse(
     " & ((! Tail) U c)"
 )
 UNSAT3 = parse("((! Tail) U a) & (Tail R ! a) & ((! Tail) U b)")
+# satisfiable; its queries are partly table-decided and partly solved
+_DUMPED = "X X X X a & G (a -> X !a) & F (b & X b)"
 
 
 def test_overview_is_sat_with_length_one_witness():
@@ -287,14 +291,6 @@ def test_table_queries_agree_with_the_frame_solver(seed, picks, core_picks, leve
         assert not encoder.query(core, acts=(act,)).sat
         for psi in core:
             assert encoder.query(core - {psi}, acts=(act,)).sat, psi
-
-
-def test_a_dump_directory_sends_every_query_to_a_solver(tmp_path):
-    f = parse("X X X X a & G (a -> X !a) & F (b & X b)")
-    assert check(f).stats.table_queries > 0
-    verdict = check(f, dump_dir=tmp_path)
-    assert verdict.stats.table_queries == 0
-    assert len(list(tmp_path.iterdir())) == verdict.stats.sat_calls
 
 
 def _pushed_cores(f):
@@ -797,19 +793,91 @@ def test_frame_zero_shares_the_run_encoder():
 
 
 def test_clause_dumps_number_every_query_of_the_run(tmp_path):
-    queries = []
+    # each query that reaches a solver is dumped under its count; the
+    # table-decided ones leave gaps in the numbers
+    solved, dumped = [], []
+    query, solve = cdlsc._Run._query, Encoder.query
+
+    def recording_query(run, *args, **kwargs):
+        tabled = run.stats.table_queries
+        out = query(run, *args, **kwargs)
+        if run.stats.table_queries == tabled:
+            solved.append(run.stats.sat_calls)
+        return out
+
+    def recording_solve(encoder, state, **kwargs):
+        if not kwargs.get("_recheck", False):
+            dumped.append(os.path.basename(kwargs["dump"]))
+        else:
+            assert kwargs.get("dump") is None
+        return solve(encoder, state, **kwargs)
+
+    with mock.patch.object(cdlsc._Run, "_query", recording_query), \
+            mock.patch.object(Encoder, "query", recording_solve):
+        verdict = check(parse(_DUMPED), dump_dir=tmp_path)
+    stats = verdict.stats
+    assert verdict.sat and stats.frames > 2 and stats.reused > 0
+    assert 0 < stats.table_queries < stats.sat_calls
+    assert len(solved) == stats.sat_calls - stats.table_queries
+    names = [f"query{i:05d}.cnf" for i in solved]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names == dumped
+
+
+def _spoiling_first_core(spoils):
+    """A `SatSolver.solve` whose first unsat answer on a solver that
+    `spoils` accepts has one member selector dropped from its failed set,
+    chosen so that the rest is satisfiable: a wrong core. An encoder puts
+    the member selectors first and one context literal last."""
+    solve = SatSolver.solve
+    spoiled = []
+
+    def spoiling(solver, assumptions=()):
+        res = solve(solver, assumptions)
+        if res.sat or spoiled or not spoils(solver):
+            return res
+        for lit in assumptions[:-1]:
+            if lit in res.failed and solve(solver, [a for a in assumptions if a != lit]).sat:
+                spoiled.append(lit)
+                return dataclasses.replace(res, failed=res.failed - {lit})
+        return res
+
+    return spoiling
+
+
+def test_the_recheck_catches_a_wrong_final_position_core():
+    # the first unsat answer of the run is the final-position query at s0
+    with mock.patch.object(SatSolver, "solve", _spoiling_first_core(lambda solver: True)):
+        with pytest.raises(AssertionError, match="re-queried alone"):
+            check(parse("a & !a & b"))
+
+
+def test_the_recheck_catches_a_wrong_frame_solver_core():
+    # six eventualities give states past TABLE_ATOMS at frames 1 and up, and
+    # only those reach a frame's own solver
+    run = cdlsc._Run(_eventualities(6), raw_tnf=False, limits=Limits(),
+                     dump_dir=None, iteration_hook=None)
+    spoiling = _spoiling_first_core(lambda solver: solver is not run.encoder.solver)
+    with mock.patch.object(SatSolver, "solve", spoiling):
+        with pytest.raises(AssertionError, match="re-queried alone"):
+            run.check()
+
+
+def test_the_naive_engine_makes_no_recheck():
+    # only a cdlsc run keeps cores, so only it rechecks them
+    rechecks = []
     query = Encoder.query
 
     def counting_query(encoder, state, **kwargs):
-        queries.append(kwargs.get("_recheck", False))
+        rechecks.append(kwargs.get("_recheck", False))
         return query(encoder, state, **kwargs)
 
+    f = to_tnf(to_nnf(parse("F a & F b & F c & F d & F e & F f & F g & G ! g")))
     with mock.patch.object(Encoder, "query", counting_query):
-        verdict = check(parse("X X X X a & G (a -> X !a) & F (b & X b)"), dump_dir=tmp_path)
-    assert verdict.sat and verdict.stats.frames > 2 and verdict.stats.reused > 0
-    assert verdict.stats.sat_calls == queries.count(False)
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == [f"query{i:05d}.cnf" for i in range(1, verdict.stats.sat_calls + 1)]
+        result = naive_check(f)
+    assert not result.sat
+    assert (result.states_expanded, result.sat_calls, result.live_clauses,
+            result.table_states) == (64, 270, 69, 57)
+    assert rechecks.count(False) > 0 and rechecks.count(True) == 0
 
 
 def _distinct_eventualities(names):
@@ -832,6 +900,25 @@ _DEEP_SEED_1 = {
     "eventualities-7": (_distinct_eventualities(["e97", "e98", "e0", "e89", "e57", "e34",
                                                  "e92"]), False, 8, 6),
 }
+
+
+def _untimed(verdict):
+    return dataclasses.replace(verdict, stats=dataclasses.replace(verdict.stats, elapsed=0.0))
+
+
+@pytest.mark.parametrize("name", ["partly-tabled", "eventualities-4", "eventualities-5"])
+def test_a_dumped_run_equals_the_undumped_one(name, tmp_path):
+    f = parse(_DUMPED if name == "partly-tabled" else _DEEP_SEED_1[name][0])
+    # a run's path depends on the nodes interned before it (members and
+    # cores are ordered by uid), so both runs follow one that interned them
+    check(f)
+    plain = check(f)
+    dumped = check(f, dump_dir=tmp_path)
+    assert plain.stats.table_queries > 0
+    # verdict, witness, frames, spine and every counter but the time
+    assert _untimed(dumped) == _untimed(plain)
+    stats = dumped.stats
+    assert len(list(tmp_path.iterdir())) == stats.sat_calls - stats.table_queries
 
 
 @pytest.mark.parametrize("name", list(_DEEP_SEED_1))
