@@ -14,7 +14,7 @@ conjunct of the expanded form, over that conjunct's top-level disjuncts,
 and only those disjuncts, the skeleton's leaves, get literals with full
 Tseitin definitions. Everything that depends on a member alone is computed
 once per process and cached by the interned node: its expanded form (`xnf`)
-and its encoding recipe (`_recipe`), which holds the skeleton and the nodes
+and its encoding recipe (`recipe`), which holds the skeleton and the nodes
 below its leaves in the order a recursive encoding would first reach them.
 An encoder replays a member's recipe into its own solver.
 """
@@ -110,12 +110,12 @@ def _xnf_parts(memo, g):
 _RECIPE_CACHE = {}
 
 
-def _recipe(psi):
+def recipe(psi):
     """The member's encoding recipe: (steps, literal atoms, next-atoms,
     skeleton) for `xnf(psi)`.
 
     `steps` are the distinct nodes of the expanded form in post-order, left
-    operand first; `transition._table` evaluates them bitwise. The
+    operand first; `transition.truth_table` evaluates them bitwise. The
     skeleton is (cone, clauses). Its clauses are the distinct top-level
     conjuncts of the expanded form, each as its distinct top-level
     disjuncts, left first: the leaves. A leaf is an atom, a negated atom, a
@@ -176,7 +176,7 @@ def _post_order(roots):
 
 def union_atoms(entries):
     """Literal atoms and next-atoms of a state, as two sets, from its
-    members' `_recipe` or `Encoder.member` entries, whose second and third
+    members' `recipe` or `Encoder.member` entries, whose second and third
     fields are the literal atoms and the next-atoms."""
     lits, nexts = set(), set()
     for entry in entries:
@@ -200,9 +200,6 @@ class Assignment:
     def true_atoms(self):
         return frozenset(name for name, value in self.literals if value)
 
-    def value(self, name):
-        return dict(self.literals).get(name)
-
 
 @dataclass(frozen=True)
 class QueryOutcome:
@@ -222,7 +219,7 @@ class Encoder:
     connective at or below a skeleton leaf to its definition variable, and
     the constants to the literals of a variable fixed true. The connectives
     above a member's leaves get no entry. `member` replays a member's cached
-    recipe (see `_recipe`) and encodes only the nodes the table lacks, so
+    recipe (see `recipe`) and encodes only the nodes the table lacks, so
     members that share subterms below their leaves share their definitions.
     `query` only encodes, solves and decodes; it does not check the cores
     it returns. `sat_calls` counts the queries made through this encoder,
@@ -255,7 +252,7 @@ class Encoder:
         """Assumption variable and relevant-atom sets for one state member.
 
         The member's selector p guards one clause per clause of its
-        skeleton (see `_recipe`): [-p, l1, ..., lk] over the leaves'
+        skeleton (see `recipe`): [-p, l1, ..., lk] over the leaves'
         literals. Members are only ever assumed true, so the nodes above the
         leaves need no variable (Plaisted & Greenbaum, 1986). A leaf
         conjunction gets a definition variable, fully defined by its
@@ -264,7 +261,7 @@ class Encoder:
         """
         entry = self._members.get(psi)
         if entry is None:
-            _, lits, nexts, (cone, clauses) = _recipe(psi)
+            _, lits, nexts, (cone, clauses) = recipe(psi)
             table = self._lits
             solver = self.solver
             for g in cone:

@@ -20,15 +20,16 @@ which makes a failed push wait for a core that covers its successor, as in
 triggered clause pushing (Suda, 2013).
 
 A step or push query of a state with at most `TABLE_ATOMS` relevant atoms
-is decided by the state's truth table (`transition.truth_table`), with
-frame i's cores as a row filter (`ConflictSequence.table_query`); its cores
+is decided by the state's truth table (`transition.table_query`), with the
+cores of frame i inside the state's next bodies as a row filter; its cores
 are exact, so they are not rechecked. Every larger query blocks successors
 in a solver of its own frame, as in Bradley's IC3, so a query propagates
 through the cores of its frame only. Frame 0 shares the run's solver with
 the final-position queries, whose member encodings it would otherwise
 repeat; final-position queries always go to that solver.
 
-`ConflictSequence` holds the frames, their open cores and their solvers;
+`ConflictSequence` holds the frames, their open cores, the index that
+files each core under its lowest-uid member, and the frames' solvers;
 `inv_found` is the exact propositional test the syntactic fixpoint implies.
 Every query of a run, step, push or final-position, goes through
 `_Run._query`. It checks the deadline and `Limits.max_sat_calls` before the
@@ -46,6 +47,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .abstraction import Encoder, QueryOutcome
 from .errors import (
@@ -62,7 +64,6 @@ from .formula import (
     TAIL,
     And,
     FiniteTrace,
-    Next,
     atoms,
     by_uid,
     closure,
@@ -73,15 +74,7 @@ from .formula import (
 )
 from .satengine import SatSolver
 from .semantics import MAX_BRUTE_ATOMS, brute_force_sat, evaluate
-from .transition import (
-    _label,
-    _lowest,
-    assemble_trace,
-    naive_check,
-    state_of,
-    successor_state,
-    truth_table,
-)
+from .transition import assemble_trace, naive_check, state_of, successor_state, table_query
 
 ENGINES = ("cdlsc", "naive", "brute")
 
@@ -120,14 +113,14 @@ class ConflictSequence:
     """Frames of member cores, each blocking successors in the search.
 
     Each frame is an insertion-ordered set (dict keys) of cores. A small
-    state at level i is queried by `table_query`, which reads frame i's
-    cores as they stand. A larger one is queried in frame i's encoder,
-    where frame i's cores block successors under one activation literal, so
-    a new core takes effect on the very next query. Frame 0 lives in the
-    run's encoder, which also answers the final-position queries. Every
-    other frame gets a fresh encoder of its own when it first has a solver
-    query, so no query visits the blocking clauses of another frame; it
-    blocks the cores the frame holds by then.
+    state at level i is queried by `transition.table_query`, which reads
+    the cores of frame i that `inside` yields as they stand. A larger one
+    is queried in frame i's encoder, where frame i's cores block successors
+    under one activation literal, so a new core takes effect on the very
+    next query. Frame 0 lives in the run's encoder, which also answers the
+    final-position queries. Every other frame gets a fresh encoder of its
+    own when it first has a solver query, so no query visits the blocking
+    clauses of another frame; it blocks the cores the frame holds by then.
 
     The fixpoint is detected syntactically, as in IC3: level i is a fixpoint
     when frames 0..i are nonempty and every core of frame i is subsumed by a
@@ -140,8 +133,8 @@ class ConflictSequence:
 
     Each core of a frame is also filed under its lowest-uid member. A core
     inside a set has that member in the set, so `inside`, which `subsumed`
-    and `table_query` use, looks only at the cores filed under the set's
-    members and never scans the frame.
+    and the table queries use, looks only at the cores filed under the
+    set's members and never scans the frame.
     """
 
     def __init__(self, encoder):
@@ -205,51 +198,6 @@ class ConflictSequence:
     def subsumed(self, j, members):
         """Whether some core of frame j is a subset of members."""
         return any(self.inside(j, members))
-
-    def table_query(self, state, i):
-        """Step query of a small state under frame i, decided by the state's
-        truth table (`truth_table`) with no solver; None when the state has
-        more than TABLE_ATOMS relevant atoms.
-
-        Frame i's cores act as a row filter. A core inside the state's next
-        bodies blocks the rows where all of its next-atoms hold; a core with
-        a member outside them blocks nothing, since a solver may set that
-        next-atom false. The query is sat when some row satisfies every
-        member and is not blocked, and the lowest such row is its
-        assignment. An unsat answer's core drops members in uid order while
-        the rest still leave no such row. Each test is exact, so the core is
-        deletion-minimal and needs no recheck: a column that only dropped
-        members constrain is free, and clearing a next-atom never adds a
-        block.
-        """
-        table = truth_table(state)
-        if table is None:
-            return None
-        members, masks, full, column, bits = table
-        nexts = {n.operand: mask for n, mask in column.items() if type(n) is Next}
-        free = full
-        for core in self.inside(i, nexts.keys()):
-            blocked = full
-            for psi in core:
-                blocked &= nexts[psi]
-            free &= ~blocked
-        rows = free
-        for mask in masks:
-            rows &= mask
-        if rows:
-            return QueryOutcome(_label(_lowest(rows), bits), None)
-        # rest[j]: the free rows that every member from j on satisfies
-        rest = [free]
-        for mask in reversed(masks):
-            rest.append(rest[-1] & mask)
-        rest.reverse()
-        core = []
-        kept = full
-        for j, psi in enumerate(members):
-            if kept & rest[j + 1]:
-                core.append(psi)
-                kept &= masks[j]
-        return QueryOutcome(None, frozenset(core))
 
     def close(self, i):
         """Drop frame i's open cores that frame i+1 subsumes; True if none is left."""
@@ -376,7 +324,8 @@ class _Run:
 
         Checks the limits before the query is decided and counts it. A step
         query of a state with at most TABLE_ATOMS relevant atoms is decided
-        by `ConflictSequence.table_query`, whose cores are exact. Every other
+        by `transition.table_query`, under the frame's cores that
+        `ConflictSequence.inside` yields; its cores are exact. Every other
         query goes to a solver; with a dump directory it is first written
         to the clause file that its count numbers. A solver core that is not
         the whole state is rechecked right after the query, alone in the
@@ -393,7 +342,7 @@ class _Run:
         if final:
             encoder, acts = self.encoder, ()
         else:
-            out = self.sequence.table_query(state, level)
+            out = table_query(state, partial(self.sequence.inside, level))
             if out is not None:
                 stats.table_queries += 1
                 return out
@@ -510,7 +459,7 @@ class _Run:
         each clause keeps a true leaf. A blocking clause fails only when its
         whole core lies inside t, and learned clauses follow from the
         original ones. For the same reasons the assignment's row survives
-        the row filter of `ConflictSequence.table_query`.
+        the row filter of the frame's cores in `transition.table_query`.
         """
         last = self._last.get(state)
         if last is None or self.sequence.subsumed(level, last.next_bodies):

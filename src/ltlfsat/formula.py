@@ -415,10 +415,10 @@ class FiniteTrace:
         return "\n".join(",".join(sorted(p)) for p in self.positions) + "\n"
 
     @classmethod
-    def from_text(cls, text, alphabet=None):
+    def from_text(cls, text):
         """The trace `to_text` wrote: only text with no characters at all is
         empty, while a lone newline is one empty position."""
-        if text == "" and alphabet is None:
+        if text == "":
             raise ValueError("empty trace text")
         if text.endswith("\n"):
             text = text[:-1]
@@ -428,7 +428,7 @@ class FiniteTrace:
             line = line.strip()
             names = [a.strip() for a in line.split(",") if a.strip()] if line else []
             positions.append(frozenset(names))
-        return cls.make(positions, alphabet)
+        return cls.make(positions)
 
 
 class ParseError(ValueError):

@@ -70,12 +70,6 @@ class SatSolver:
         heapq.heappush(self._heap, (0.0, self.nvars))
         return self.nvars
 
-    def value(self, lit):
-        """True, False, or None while the literal is unassigned."""
-        if lit == 0 or abs(lit) > self.nvars:
-            raise ValueError(f"unknown literal {lit}")
-        return self.vals[lit]
-
     def add_clause(self, lits):
         """Add a clause over existing variables; duplicates are harmless.
 

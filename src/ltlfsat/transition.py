@@ -7,17 +7,19 @@ next-atom bodies of the assignments that satisfy the members' expanded
 distinguished empty-obligation state {true}, which is final by construction.
 
 A state with at most TABLE_ATOMS relevant atoms (literal atoms, next-atoms
-and Tail) is decided by `_table` from `truth_table`, one truth table over
-every valuation of those atoms, with no solver: each atom's column is an
-int with one bit per row, and the members' expanded forms are evaluated
-bitwise over it in the node orders their cached encoding recipes keep
-(`abstraction._recipe`): every node of the expanded form, where
-`Encoder.member` defines only the nodes below its skeleton's leaves. A
-larger state goes to the system's `Encoder`, created when the first such
-state is met: `successors(encoder, state)` enumerates its distinct
-successors, and `encoder.query(state, final=True)` tests whether it can
-end the trace. `cdlsc` decides its small step queries from `truth_table`
-too.
+and Tail) is decided from `truth_table`, one truth table over every
+valuation of those atoms, with no solver: each atom's column is an int with
+one bit per row, and the members' expanded forms are evaluated bitwise over
+it in the node orders their cached encoding recipes keep
+(`abstraction.recipe`): every node of the expanded form, where
+`Encoder.member` defines only the nodes below its skeleton's leaves. Two
+readers decode its rows. `_table` gives the naive engine a small state's
+final test and successors. `table_query` decides a small state's step query
+under the blocking cores that lie inside its next bodies; cdlsc passes the
+cores of a frame. A larger state goes to the system's `Encoder`, created
+when the first such state is met: `successors(encoder, state)` enumerates
+its distinct successors, and `encoder.query(state, final=True)` tests
+whether it can end the trace.
 
 A system keeps the edges out of a table-decided state, and its final
 assignment, as rows, and decodes a row into its `Assignment` only when that
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .abstraction import Assignment, Encoder, QueryOutcome, _recipe, union_atoms
+from .abstraction import Assignment, Encoder, QueryOutcome, recipe, union_atoms
 from .errors import Deadline, Limits, ResourceAbort, StateLimitExceeded
 from .formula import (
     FALSE,
@@ -97,16 +99,16 @@ def truth_table(state):
     included; the atom at position j in uid order is bit j of the row index.
     Each atom's column is one int with a bit per row, so each member's
     expanded form is evaluated for all rows at once with `&`, `|` and `^`, in
-    the order of its `_recipe` steps.
+    the order of its `recipe` steps.
 
-    Returns (members, masks, full, column, bits): the members in uid order,
-    each one's row mask, the mask of every row, each relevant atom's column
-    in uid order, and the (literal bits, next bits) with which `_label`
-    decodes a row into an `Assignment` over the same atoms as a step
-    `Encoder.query`'s.
+    Returns (members, masks, full, tail, nexts, bits): the members in uid
+    order, each one's row mask, the mask of every row, Tail's column, each
+    next-atom's column keyed by its body in uid order, and the (literal
+    bits, next bits) with which `_label` decodes a row into an `Assignment`
+    over the same atoms as a step `Encoder.query`'s.
     """
     members = sorted(state, key=by_uid)
-    recipes = [_recipe(psi) for psi in members]
+    recipes = [recipe(psi) for psi in members]
     lits, nexts = union_atoms(recipes)
     columns = sorted(lits | nexts | {Atom(TAIL)}, key=by_uid)
     if len(columns) > TABLE_ATOMS:
@@ -129,9 +131,10 @@ def truth_table(state):
             else:  # a negated atom
                 value[g] = value[g.operand] ^ full
         masks.append(value[steps[-1]])
+    next_columns = {a.operand: mask for a, mask in column.items() if type(a) is Next}
     bit = {a: 1 << j for j, a in enumerate(columns)}
     bits = ([(a.name, bit[a]) for a in lits], [(n.operand, bit[n]) for n in nexts])
-    return members, masks, full, column, bits
+    return members, masks, full, column[Atom(TAIL)], next_columns, bits
 
 
 def _table(state):
@@ -149,31 +152,74 @@ def _table(state):
     table = truth_table(state)
     if table is None:
         return None
-    _, masks, sat, column, bits = table
+    _, masks, sat, tail, nexts, bits = table
     for mask in masks:
         sat &= mask
-    tail_rows = sat & column[Atom(TAIL)]
+    tail_rows = sat & tail
     if tail_rows:
         final = _FinalRow(_lowest(tail_rows), bits)
     else:
         final = QueryOutcome(None, frozenset(state))
     # one group of satisfying rows per distinct next-atom projection
     groups = [sat] if sat else []
-    for a, mask in column.items():
-        if type(a) is Next:
-            split = []
-            for rows in groups:
-                on = rows & mask
-                if on:
-                    split.append(on)
-                if on != rows:
-                    split.append(rows ^ on)
-            groups = split
+    for mask in nexts.values():
+        split = []
+        for rows in groups:
+            on = rows & mask
+            if on:
+                split.append(on)
+            if on != rows:
+                split.append(rows ^ on)
+        groups = split
     steps = []
     for row in sorted(map(_lowest, groups)):
         bodies = frozenset(body for body, b in bits[1] if row & b)
         steps.append((row, successor_state(bodies)))
     return final, steps, bits
+
+
+def table_query(state, inside):
+    """Step query of a small state, decided by its truth table with no
+    solver; None when the state has more than TABLE_ATOMS relevant atoms.
+
+    `inside(bodies)` yields the blocking cores that lie inside the state's
+    next bodies, and they act as a row filter: such a core blocks the rows
+    where all of its next-atoms hold, while a core with a member outside
+    the bodies blocks nothing, since a solver may set that next-atom false.
+    The query is sat when some row satisfies every member and is not
+    blocked, and the lowest such row is its assignment. An unsat answer's
+    core drops members in uid order while the rest still leave no such row.
+    Each test is exact, so the core is deletion-minimal and needs no
+    recheck: a column that only dropped members constrain is free, and
+    clearing a next-atom never adds a block.
+    """
+    table = truth_table(state)
+    if table is None:
+        return None
+    members, masks, full, _, nexts, bits = table
+    free = full
+    for core in inside(nexts.keys()):
+        blocked = full
+        for psi in core:
+            blocked &= nexts[psi]
+        free &= ~blocked
+    rows = free
+    for mask in masks:
+        rows &= mask
+    if rows:
+        return QueryOutcome(_label(_lowest(rows), bits), None)
+    # rest[j]: the free rows that every member from j on satisfies
+    rest = [free]
+    for mask in reversed(masks):
+        rest.append(rest[-1] & mask)
+    rest.reverse()
+    core = []
+    kept = full
+    for j, psi in enumerate(members):
+        if kept & rest[j + 1]:
+            core.append(psi)
+            kept &= masks[j]
+    return QueryOutcome(None, frozenset(core))
 
 
 def _lowest(rows):

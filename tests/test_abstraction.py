@@ -42,6 +42,12 @@ a, b, c, d, p = Atom("a"), Atom("b"), Atom("c"), Atom("d"), Atom("p")
 tail = Atom(TAIL)
 
 
+def literal_value(assignment, name):
+    """An assignment's value of a literal atom, or None when it does not
+    assign the atom."""
+    return dict(assignment.literals).get(name)
+
+
 def enumerate_assignments(target, *, encoder=None):
     """Yield every assignment of the expanded target over its relevant atoms.
 
@@ -147,8 +153,8 @@ def test_final_query_on_overview_state():
     state = frozenset({Until(And(Not(tail), a), b)})
     out = enc.query(state, final=True)
     assert out.sat
-    assert out.assignment.value(TAIL) is True
-    assert out.assignment.value("b") is True
+    assert literal_value(out.assignment, TAIL) is True
+    assert literal_value(out.assignment, "b") is True
 
 
 def test_final_query_unsat_core_is_both_members():
@@ -164,7 +170,7 @@ def test_step_query_single_unit():
     enc = Encoder()
     out = enc.query(frozenset({p}))
     assert out.sat
-    assert out.assignment.value("p") is True
+    assert literal_value(out.assignment, "p") is True
     assert out.assignment.next_bodies == frozenset()
 
 
@@ -202,9 +208,9 @@ def test_decode_splits_label_and_successor():
     enc.solver.add_clause([-act, -enc.atom_var(b)])
     out = enc.query(frozenset({f}), acts=(act,))
     assert out.sat
-    assert out.assignment.value("a") is True
-    assert out.assignment.value("b") is False
-    assert out.assignment.value(TAIL) is False
+    assert literal_value(out.assignment, "a") is True
+    assert literal_value(out.assignment, "b") is False
+    assert literal_value(out.assignment, TAIL) is False
     assert out.assignment.next_bodies == frozenset({f})
 
 
@@ -237,7 +243,7 @@ def test_final_models_carry_tail_and_no_next_atoms():
         out = enc.query(frozenset(conjuncts(f)), final=True)
         if not out.sat:
             continue
-        assert out.assignment.value(TAIL) is True
+        assert literal_value(out.assignment, TAIL) is True
         assert out.assignment.next_bodies == frozenset()
 
 

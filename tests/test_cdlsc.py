@@ -4,6 +4,7 @@ import os
 import signal
 import time
 from collections import deque
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -47,7 +48,13 @@ from ltlfsat.formula import (
 )
 from ltlfsat.satengine import SatSolver
 from ltlfsat.semantics import evaluate
-from ltlfsat.transition import NaiveResult, build_full_system, naive_check, truth_table
+from ltlfsat.transition import (
+    NaiveResult,
+    build_full_system,
+    naive_check,
+    table_query,
+    truth_table,
+)
 from test_formula import is_nnf
 from test_transition import _holds
 
@@ -260,26 +267,30 @@ def test_table_queries_agree_with_the_frame_solver(seed, picks, core_picks, leve
     frame of random cores drawn mostly from the state's next bodies: the
     table's answer agrees with the frame's own solver, a sat assignment's
     projection is sat there, and an unsat core is a deletion-minimal unsat
-    subset of the state there."""
+    subset of the state there. A plain scan of the drawn cores, with no
+    filed index, gives the same answer."""
     pool = sorted(closure(to_tnf(to_nnf(gen_random(2, 8, 0.5, seed)))), key=by_uid)
     state = frozenset(pool[p % len(pool)] for p in picks)
     table = truth_table(state)
     assume(table is not None)
-    nexts = [n for n in table[3] if type(n) is Next]
-    drawn = [n.operand for n in nexts] * 3 + pool
+    bodies = list(table[4])
+    nexts = [Next(body) for body in bodies]
+    drawn = bodies * 3 + pool
+    cores = [frozenset(drawn[p % len(drawn)] for p in core) for core in core_picks]
     sequence = ConflictSequence(Encoder())
     sequence.ensure(1)
-    for core in core_picks:
-        sequence.add_core(level, frozenset(drawn[p % len(drawn)] for p in core))
+    for core in cores:
+        sequence.add_core(level, core)
     encoder, act = sequence.context(level)
-    out = sequence.table_query(state, level)
+    out = table_query(state, partial(sequence.inside, level))
+    assert table_query(state, lambda bodies: [c for c in cores if c <= bodies]) == out
     solved = encoder.query(state, acts=(act,))
     assert out.sat == solved.sat
     if out.sat:
         assignment = out.assignment
         assert {name for name, _ in assignment.literals} == {
             name for name, _ in solved.assignment.literals}
-        assert assignment.next_bodies <= {n.operand for n in nexts}
+        assert assignment.next_bodies <= set(bodies)
         fixed = [encoder.atom_var(Atom(name)) * (1 if value else -1)
                  for name, value in assignment.literals]
         fixed += [encoder.atom_var(n) * (1 if n.operand in assignment.next_bodies else -1)

@@ -481,7 +481,7 @@ def test_trace_text_round_trip():
     trace = FiniteTrace.make([{"a", "b"}, set(), {"b"}])
     text = trace.to_text()
     assert text == "a,b\n\nb\n"
-    back = FiniteTrace.from_text(text, trace.alphabet)
+    back = FiniteTrace.from_text(text)
     assert back.positions == trace.positions
     # one empty position is one blank line, and reads back without an alphabet
     one_empty = FiniteTrace.make([set()])
@@ -645,26 +645,46 @@ def test_no_check_in_the_package_is_an_assert_statement():
 def test_every_function_and_class_of_the_package_has_a_use_outside_the_tests():
     # a helper that only tests call belongs in the tests; a use is a name,
     # an attribute or an import in the package, whose `__init__` holds the
-    # exports, or in the benchmark harness
+    # exports, or in the benchmark harness. A method is used only as an
+    # attribute, so a variable that shares its name does not count
     package = Path(formula.__file__).parent
     harness = package.parents[1] / "perfbench"
     sources = sorted(package.glob("*.py"))
     sources += [p for p in sorted(harness.glob("*.py")) if p.name != "test_perfbench.py"]
-    defined, used = {}, set()
+    defined, names, attributes = [], set(), set()
     for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        methods = {fn for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                used.add(node.name.rpartition(".")[2])
+                names.add(node.name.rpartition(".")[2])
             elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                   and path.parent == package):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-    unused = {name: where for name, where in defined.items()
-              if name not in used and not (name.startswith("__") and name.endswith("__"))}
-    assert unused == {}
+                defined.append((node.name, node in methods, f"{path.name}:{node.lineno}"))
+    unused = [f"{where}: {name}" for name, method, where in defined
+              if name not in attributes and (method or name not in names)
+              and not (name.startswith("__") and name.endswith("__"))]
+    assert unused == []
+
+
+def test_no_module_of_the_package_imports_a_private_name_of_another():
+    # a name with a leading underscore belongs to its module; a name two
+    # modules share is part of its owner's interface and is named as such
+    package = Path(formula.__file__).parent
+    private = [
+        f"{path.name}:{node.lineno}: {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_nodes_hash_and_compare_by_identity():

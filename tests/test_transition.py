@@ -44,7 +44,7 @@ from ltlfsat.transition import (
     _table,
     successors,
 )
-from test_abstraction import enumerate_assignments
+from test_abstraction import enumerate_assignments, literal_value
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 tail = Atom(TAIL)
@@ -105,8 +105,8 @@ def test_five_conjunct_initial_state_not_final_with_pair_core():
 def test_pure_propositional_state_is_final():
     out = Encoder().query(frozenset({Atom("p")}), final=True)
     assert out.sat
-    assert out.assignment.value(TAIL) is True
-    assert out.assignment.value("p") is True
+    assert literal_value(out.assignment, TAIL) is True
+    assert literal_value(out.assignment, "p") is True
 
 
 def test_overview_self_loop_edge_exists():
