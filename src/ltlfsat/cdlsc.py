@@ -3,7 +3,10 @@ system.
 
 The checker grows a sequence of frames, one per step budget. Frame i holds
 member cores certifying that any state containing them cannot end a trace
-within i steps. Successor search avoids the current frame; when it runs out
+within i steps. The final-position query is thus the step below frame 0: a
+search from frame k steps down to level -1, where a state gets the
+final-position query, and its core, like every step core, joins the frame
+one level up. Successor search avoids the current frame; when it runs out
 of candidates, the step query's core seeds the next frame. After each
 failed iteration, cores are pushed forward as in IC3's propagation phase: a
 core of frame i whose successors all stay in frame i also joins frame i+1.
@@ -25,8 +28,8 @@ cores of frame i inside the state's next bodies as a row filter; its cores
 are exact, so they are not rechecked. Every larger query blocks successors
 in a solver of its own frame, as in Bradley's IC3, so a query propagates
 through the cores of its frame only. Frame 0 shares the run's solver with
-the final-position queries, whose member encodings it would otherwise
-repeat; final-position queries always go to that solver.
+the final-position queries at level -1, whose member encodings it would
+otherwise repeat; final-position queries always go to that solver.
 
 `ConflictSequence` holds the frames, their open cores, the index that
 files each core under its lowest-uid member, and the frames' solvers;
@@ -98,7 +101,9 @@ class Verdict:
 
     `frames` are the conflict-driven checker's frames when the verdict was
     reached; `spine` is the state path of a witness found by its successor
-    search. Both stay empty for the other engines.
+    search, from the initial state on, one state per witness position.
+    Every sat verdict of that checker carries a spine; both stay empty for
+    the other engines.
     """
 
     sat: bool
@@ -314,13 +319,13 @@ class _Run:
         self.iteration_hook = iteration_hook
         self.seen = {self.s0}
         self.sequence = ConflictSequence(self.encoder)
-        self.spine = None
         self.stats = Stats()  # the counters; the rest is filled in by `_stats`
         self._last = {}  # state -> assignment of its last sat step query
 
-    def _query(self, state, level=None, *, push=False):
-        """Make one query of the run: a final-position query on the run's
-        solver when level is None, else a step query under frame level.
+    def _query(self, state, level, *, push=False):
+        """Make one query of the run: a step query under frame level, or at
+        level -1, the step below frame 0, the final-position query, which
+        always goes to the run's solver.
 
         Checks the limits before the query is decided and counts it. A step
         query of a state with at most TABLE_ATOMS relevant atoms is decided
@@ -338,7 +343,7 @@ class _Run:
             raise SatCallLimitExceeded(limit)
         stats.sat_calls += 1
         stats.pushes += push
-        final = level is None
+        final = level < 0
         if final:
             encoder, acts = self.encoder, ()
         else:
@@ -370,57 +375,45 @@ class _Run:
 
     def check(self):
         start = time.monotonic()
-        out = self._query(self.s0)
-        if out.sat:
-            return self._sat_verdict([], out.assignment, start)
-        self.sequence.add_core(0, out.core)
-        frame_level = 0
-        while True:
+        frame_level = -1
+        while (found := self._try_satisfy(frame_level)) is None:
+            if frame_level >= 0:
+                level = self._push(frame_level)
+                if self.iteration_hook is not None:
+                    self.iteration_hook(frame_level, self.sequence.snapshot())
+                self.deadline.check()
+                if level is not None:
+                    return Verdict(False, None, level, self._stats(start), self.sequence.snapshot())
+            frame_level += 1
             if self._over_frame_limit():
                 raise FrameLimitExceeded(self.max_frames)
-            found = self._try_satisfy(frame_level)
-            if found is not None:
-                return self._sat_verdict(*found, start)
-            level = self._push(frame_level)
-            if self.iteration_hook is not None:
-                self.iteration_hook(frame_level, self.sequence.snapshot())
-            self.deadline.check()
-            if level is not None:
-                return Verdict(False, None, level, self._stats(start), self.sequence.snapshot())
-            frame_level += 1
-            self.sequence.ensure(frame_level)
+        return self._sat_verdict(*found, start)
 
     def _try_satisfy(self, frame_level):
-        """Depth-first successor search honouring the frames.
+        """Depth-first successor search honouring the frames, from s0 at
+        frame_level down to level -1, where a state gets the final-position
+        query.
 
-        Returns (edge labels, final assignment) on success; on failure every
-        explored state has contributed a core one frame up.
+        The stack holds (state, level, label) entries, label the step
+        assignment that reached the state. An unsat answer's core joins
+        frame level + 1 and pops its state. Returns (edge labels, final
+        assignment, spine) on success; on failure every explored state has
+        contributed a core one frame up.
         """
-        stack = [(self.s0, frame_level)]
-        labels = []
-        spine = [self.s0]
+        stack = [(self.s0, frame_level, None)]
         while stack:
-            state, level = stack[-1]
-            out = self._step(state, level)
+            state, level, _ = stack[-1]
+            out = self._query(state, level) if level < 0 else self._step(state, level)
+            if out.sat and level < 0:
+                spine, _, labels = zip(*stack)
+                return labels[1:], out.assignment, spine
             if not out.sat:
                 self.sequence.add_core(level + 1, out.core)
                 stack.pop()
-                if labels:
-                    labels.pop()
-                    spine.pop()
                 continue
             succ = successor_state(out.assignment.next_bodies)
             self.seen.add(succ)
-            if level == 0:
-                fout = self._query(succ)
-                if fout.sat:
-                    self.spine = tuple(spine + [succ])
-                    return labels + [out.assignment], fout.assignment
-                self.sequence.add_core(0, fout.core)
-                continue
-            labels.append(out.assignment)
-            spine.append(succ)
-            stack.append((succ, level - 1))
+            stack.append((succ, level - 1, out.assignment))
         return None
 
     def _step(self, state, level, *, push=False):
@@ -501,10 +494,9 @@ class _Run:
         stats.live_clauses = self.sequence.live_clauses()
         return stats
 
-    def _sat_verdict(self, labels, final_assignment, start):
+    def _sat_verdict(self, labels, final_assignment, spine, start):
         witness = reconstruct_witness(labels, final_assignment, self.original, keep_tail=self.raw)
-        return Verdict(True, witness, None, self._stats(start),
-                       self.sequence.snapshot(), self.spine)
+        return Verdict(True, witness, None, self._stats(start), self.sequence.snapshot(), spine)
 
 
 def check(f, *, raw_tnf=False, limits=Limits(), dump_dir=None, iteration_hook=None):

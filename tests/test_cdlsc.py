@@ -1,10 +1,14 @@
 import dataclasses
 import inspect
+import json
 import os
 import signal
+import subprocess
+import sys
 import time
 from collections import deque
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,6 +22,7 @@ from ltlfsat.cdlsc import (
     _frames_imply,
     check,
     inv_found,
+    normalise,
     reconstruct_witness,
     solve,
 )
@@ -52,6 +57,7 @@ from ltlfsat.transition import (
     NaiveResult,
     build_full_system,
     naive_check,
+    state_of,
     table_query,
     truth_table,
 )
@@ -640,6 +646,22 @@ def test_agreement_with_naive_on_random_sample():
             assert verdict.invariant_level == inv_found(verdict.frames), seed
 
 
+def test_cdlsc_witnesses_are_shortest():
+    """A run tries every step budget below the one it succeeds at, so its
+    witness is as short as the naive engine's, which breadth-first
+    discovery makes shortest."""
+    longer = 0
+    for seed in range(300):
+        f = gen_random(3, 5 + seed % 10, 0.5, seed + 3000)
+        verdict = check(f)
+        naive = naive_check(to_tnf(to_nnf(f)))
+        assert verdict.sat == naive.sat, seed
+        if verdict.sat:
+            assert len(verdict.witness) == len(naive.witness), seed
+            longer += len(verdict.witness) > 1
+    assert longer >= 30, longer
+
+
 def test_runs_reach_the_exact_fixpoint_on_conjunctions_and_random_formulas():
     """The cores a run finds depend on the models its encoding yields, and
     cores that keep the next frame from subsuming a frame stall the
@@ -735,15 +757,18 @@ def test_frames_only_ever_grow():
 
 
 def test_success_spine_escapes_the_frames():
-    """On success the recursion spine states, outermost first, are not
-    covered by the frames mirrored from the far end."""
+    """Every sat verdict has a spine, from the initial state on. Its states,
+    outermost first, are not covered by the frames mirrored from the far
+    end."""
     found = 0
     for seed in range(60):
         f = gen_random(2, 9, 0.6, seed + 31)
         verdict = check(f)
-        if not verdict.sat or verdict.spine is None:
+        if not verdict.sat:
             continue
         spine = verdict.spine
+        assert spine[0] == state_of(normalise(f)), seed
+        assert len(spine) == len(verdict.witness), seed
         frames = verdict.frames
         n = len(spine) - 1
         for i, state in enumerate(spine):
@@ -939,6 +964,52 @@ def test_deep_instances_keep_their_verdicts_and_frames(name):
     assert (verdict.sat, verdict.stats.frames, verdict.invariant_level) == (sat, frames, level)
     if not sat:
         assert inv_found(verdict.frames) <= level
+
+
+# one process decides the texts in turn and prints, per text, its verdict,
+# invariant level, every counter but the time, and a digest of its frames
+_FRESH_RUN = '''
+import dataclasses, hashlib, json, sys
+from ltlfsat.cdlsc import check
+from ltlfsat.formula import parse, render
+
+out = {}
+for name, text in json.loads(sys.stdin.read()).items():
+    verdict = check(parse(text))
+    stats = dataclasses.asdict(verdict.stats)
+    del stats["elapsed"]
+    frames = [[sorted(map(render, core)) for core in frame] for frame in verdict.frames]
+    digest = hashlib.sha256(json.dumps(frames).encode()).hexdigest()[:16]
+    out[name] = [verdict.sat, verdict.invariant_level, *stats.values(), digest]
+print(json.dumps(out))
+'''
+
+# what _FRESH_RUN prints for the texts of _DEEP_SEED_1: verdict, invariant
+# level, states_expanded, sat_calls, frames, pushes, reused, table_queries,
+# live_clauses, table_states, frames digest
+_DEEP_SEED_1_PATHS = {
+    "chain-10": (True, None, 11, 76, 10, 10, 89, 65, 26, 0, "d9df4b70fad5c24f"),
+    "chain-20": (True, None, 21, 251, 20, 20, 379, 230, 46, 0, "ea5973cdc618e790"),
+    "chain-30": (True, None, 31, 526, 30, 30, 869, 495, 66, 0, "4ed0bc2b2e39171a"),
+    "chain-40": (True, None, 41, 901, 40, 40, 1559, 860, 86, 0, "1b8188aa5662ef01"),
+    "eventualities-4": (False, 3, 12, 82, 5, 41, 26, 75, 34, 0, "6606b7e0a9fc20e8"),
+    "eventualities-5": (False, 4, 27, 209, 6, 111, 68, 198, 43, 0, "3354765de75983dd"),
+    "eventualities-6": (False, 5, 58, 487, 7, 275, 164, 401, 572, 0, "338dc2d22b9e1261"),
+    "eventualities-7": (False, 6, 121, 1111, 8, 646, 355, 659, 1078, 0, "ac2c7d46004f0fbb"),
+}
+
+
+def test_deep_instances_keep_their_paths_in_a_fresh_process():
+    """A run's path depends on the nodes interned before it, so the texts
+    are decided in a process of their own, in the order of `_DEEP_SEED_1`.
+    The counters and frames it reports are the same under any hash seed."""
+    texts = {name: spec[0] for name, spec in _DEEP_SEED_1.items()}
+    env = dict(os.environ, PYTHONPATH=str(Path(cdlsc.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _FRESH_RUN], input=json.dumps(texts),
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    paths = {name: tuple(row) for name, row in json.loads(done.stdout).items()}
+    assert paths == _DEEP_SEED_1_PATHS
 
 
 @pytest.mark.parametrize("name", list(_DEEP_SEED_1))

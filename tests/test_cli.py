@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ltlfsat
+from ltlfsat import bench as benchmod
 from ltlfsat.bench import BenchSpec
 from ltlfsat.cli import (
     EXIT_ABORT,
@@ -19,7 +20,7 @@ from ltlfsat.cli import (
     _build_parser,
     main,
 )
-from ltlfsat.errors import Limits
+from ltlfsat.errors import Limits, WitnessError
 
 
 def _write(tmp_path, name, text):
@@ -403,3 +404,25 @@ def test_parser_defaults_are_the_limits_and_spec_defaults():
         assert len(spec) == len(dataclasses.fields(BenchSpec))
         for flag, field in spec.values():
             assert field is dataclasses.MISSING or flag == field
+
+
+def test_bench_reports_a_failed_witness_check(monkeypatch, capsys):
+    # `solve` verifies every witness; a failed check is a row, not a crash
+    solve = benchmod.solve
+    calls = []
+
+    def failing_second(f, engine, **kwargs):
+        calls.append(f)
+        if len(calls) == 2:
+            raise WitnessError("witness does not satisfy the formula")
+        return solve(f, engine, **kwargs)
+
+    monkeypatch.setattr(benchmod, "solve", failing_second)
+    code = main(["bench", "--family", "pattern", "--count", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "UNVERIFIED witnesses: ['response-002']" in captured.err
+    rows = [line.split(",") for line in captured.out.splitlines()[1:4]]
+    assert [(r[0], r[2], r[6]) for r in rows] == [
+        ("response-001", "sat", "true"), ("response-002", "sat", "false"),
+        ("response-003", "sat", "true")]
