@@ -216,7 +216,10 @@ class BenchRow:
     """One instance's outcome. `frames` is the verdict's `Stats.frames`,
     None on an abort or a failed witness check; `invariant_level` is the
     unsat verdict's, None on sat rows, aborts and the engines that have no
-    frames. `verified` is false on aborts and failed witness checks."""
+    frames. `table_queries` is what a truth table decided: the cdlsc
+    queries (`Stats.table_queries`) or the naive states
+    (`Stats.table_states`), None where `frames` is. `verified` is false on
+    aborts and failed witness checks."""
 
     id: str
     family: str
@@ -227,6 +230,7 @@ class BenchRow:
     verified: bool
     frames: int | None = None
     invariant_level: int | None = None
+    table_queries: int | None = None
 
 
 @dataclass
@@ -247,7 +251,7 @@ class BenchReport:
 
 
 CSV_HEADER = ("id,family,verdict,states_expanded,sat_calls,elapsed_ms,verified,"
-              "frames,invariant_level")
+              "frames,invariant_level,table_queries")
 
 
 def render_csv(report):
@@ -256,9 +260,10 @@ def render_csv(report):
     for r in report.rows:
         frames = "" if r.frames is None else r.frames
         level = "" if r.invariant_level is None else r.invariant_level
+        tabled = "" if r.table_queries is None else r.table_queries
         lines.append(
             f"{r.id},{r.family},{r.verdict},{r.states_expanded},{r.sat_calls},"
-            f"{r.elapsed_ms:.3f},{str(r.verified).lower()},{frames},{level}"
+            f"{r.elapsed_ms:.3f},{str(r.verified).lower()},{frames},{level},{tabled}"
         )
     return "\n".join(lines) + "\n"
 
@@ -278,9 +283,11 @@ def run_instance(instance_id, family, f, solver, limits):
         elapsed = (time.monotonic() - start) * 1000.0
         return BenchRow(instance_id, family, "sat", 0, 0, elapsed, False)
     elapsed = (time.monotonic() - start) * 1000.0
+    stats = verdict.stats
+    tabled = stats.table_states if solver == "naive" else stats.table_queries
     return BenchRow(instance_id, family, "sat" if verdict.sat else "unsat",
-                    verdict.stats.states_expanded, verdict.stats.sat_calls,
-                    elapsed, True, verdict.stats.frames, verdict.invariant_level)
+                    stats.states_expanded, stats.sat_calls, elapsed, True,
+                    stats.frames, verdict.invariant_level, tabled)
 
 
 def run_suite(spec, solver="cdlsc", limits=Limits()):

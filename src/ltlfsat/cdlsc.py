@@ -22,10 +22,11 @@ lies inside its successor (see `_Run._step`). Pushes reuse it the same way,
 which makes a failed push wait for a core that covers its successor, as in
 triggered clause pushing (Suda, 2013).
 
-A step or push query of a state with at most `TABLE_ATOMS` relevant atoms
-is decided by the state's truth table (`transition.table_query`), with the
-cores of frame i inside the state's next bodies as a row filter; its cores
-are exact, so they are not rechecked. Every larger query blocks successors
+A step or push query of a state with at most `TABLE_ATOMS` (16) relevant
+atoms, the size up to which a table query beats a solver query, is decided
+by the state's truth table (`transition.table_query`), with the cores of
+frame i inside the state's next bodies as a row filter; its cores are
+exact, so they are not rechecked. Every larger query blocks successors
 in a solver of its own frame, as in Bradley's IC3, so a query propagates
 through the cores of its frame only. Frame 0 shares the run's solver with
 the final-position queries at level -1, whose member encodings it would

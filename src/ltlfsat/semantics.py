@@ -34,19 +34,24 @@ _CHUNK = 1 << 16
 _MAX_INDEX_BITS = 62
 
 
-# k is at most log2(_CHUNK) = 16 here and TABLE_ATOMS in transition, so the
-# cache holds a few hundred kilobytes at most
+# k is at most log2(_CHUNK) = 16 here and TABLE_ATOMS = 16 in transition, so
+# the cache holds k * 2**k bits per k, about 256 KB over every k up to 16
 @cache
 def column_masks(k):
     """Columns of a k-bit truth table as ints of 2**k bits: bit r of the
     j-th int is bit j of row r, so each column alternates runs of 2**j clear
-    and 2**j set bits."""
-    full = (1 << (1 << k)) - 1
+    and 2**j set bits.
+
+    Each round doubles the rows: every column so far repeats over the new
+    rows, and the new top column is clear on the old rows and set on the
+    new ones. A round costs shifts and ors linear in the table's size, with
+    no division of 2**k-bit ints."""
     masks = []
-    for j in range(k):
-        run = 1 << j
-        period = ((1 << run) - 1) << run
-        masks.append(period * (full // ((1 << 2 * run) - 1)))
+    rows = 1
+    for _ in range(k):
+        masks = [m | m << rows for m in masks]
+        masks.append(((1 << rows) - 1) << rows)
+        rows <<= 1
     return tuple(masks)
 
 

@@ -6,20 +6,21 @@ next-atom bodies of the assignments that satisfy the members' expanded
 (`xnf`) forms; a state with no pending next obligations steps to the
 distinguished empty-obligation state {true}, which is final by construction.
 
-A state with at most TABLE_ATOMS relevant atoms (literal atoms, next-atoms
-and Tail) is decided from `truth_table`, one truth table over every
-valuation of those atoms, with no solver: each atom's column is an int with
-one bit per row, and the members' expanded forms are evaluated bitwise over
-it in the node orders their cached encoding recipes keep
-(`abstraction.recipe`): every node of the expanded form, where
-`Encoder.member` defines only the nodes below its skeleton's leaves. Two
-readers decode its rows. `_table` gives the naive engine a small state's
-final test and successors. `table_query` decides a small state's step query
-under the blocking cores that lie inside its next bodies; cdlsc passes the
-cores of a frame. A larger state goes to the system's `Encoder`, created
-when the first such state is met: `successors(encoder, state)` enumerates
-its distinct successors, and `encoder.query(state, final=True)` tests
-whether it can end the trace.
+A state with at most TABLE_ATOMS (16) relevant atoms (literal atoms,
+next-atoms and Tail) is decided from `truth_table`, one truth table over
+every valuation of those atoms, with no solver: each atom's column is an int
+with one bit per row (`semantics.column_masks`), and the members' expanded
+forms are evaluated bitwise over it in the node orders their cached
+encoding recipes keep (`abstraction.recipe`): every node of the expanded
+form, where `Encoder.member` defines only the nodes below its skeleton's
+leaves. The cap is where a table query stops beating a solver query (see
+TABLE_ATOMS). Two readers decode its rows. `_table` gives the naive engine
+a small state's final test and successors. `table_query` decides a small
+state's step query under the blocking cores that lie inside its next
+bodies; cdlsc passes the cores of a frame. A larger state goes to the
+system's `Encoder`, created when the first such state is met:
+`successors(encoder, state)` enumerates its distinct successors, and
+`encoder.query(state, final=True)` tests whether it can end the trace.
 
 A system keeps the edges out of a table-decided state, and its final
 assignment, as rows, and decodes a row into its `Assignment` only when that
@@ -51,12 +52,17 @@ from .formula import (
 from .semantics import column_masks
 
 # A table has 2**k rows for k relevant atoms, so each bitwise operation on its
-# columns and each group of rows split off by a next-atom costs 2**k bits:
-# time and memory double with every atom, while SAT enumeration grows with
-# the successors found. The oracle suites' states have at most 11 relevant
-# atoms; the conjunction suites' initial states have 21 to 35. The same cap
-# decides which cdlsc step and push queries are answered by table.
-TABLE_ATOMS = 14
+# columns costs 2**k bits and its time doubles with every atom, while a
+# solver query's cost grows slowly with k. The cap is the measured crossover
+# for cdlsc's step and push queries: on the deep eventualities (n = 6, 7),
+# with every query also timed on its frame's solver, the median table query
+# took 89 us at k = 15, 166 us at 16 and 477 us at 17, against 202, 189 and
+# 177 us on the solver (recheck not counted; CPU time, in process, on a
+# 2-core virtual machine). The naive engine's `_table` reads the same cap;
+# its own crossover against SAT enumeration lies near k = 18. `_table`
+# splits its rows depth-first, so it holds at most one waiting group of
+# 2**k bits per next-atom, however many successors the state has.
+TABLE_ATOMS = 16
 
 TRUE_STATE = frozenset({TRUE})
 
@@ -160,19 +166,27 @@ def _table(state):
         final = _FinalRow(_lowest(tail_rows), bits)
     else:
         final = QueryOutcome(None, frozenset(state))
-    # one group of satisfying rows per distinct next-atom projection
-    groups = [sat] if sat else []
-    for mask in nexts.values():
-        split = []
-        for rows in groups:
-            on = rows & mask
-            if on:
-                split.append(on)
-            if on != rows:
-                split.append(rows ^ on)
-        groups = split
+    # the first row of each group of satisfying rows that share a next-atom
+    # projection, split depth-first: when a next-atom splits a part, the
+    # rows where it holds wait on the stack with the position of the next
+    # next-atom while the other rows go on, so at most one part per
+    # next-atom waits at a time
+    columns = list(nexts.values())
+    n = len(columns)
+    firsts = []
+    pending = [(sat, 0)] if sat else []
+    while pending:
+        rows, j = pending.pop()
+        while j < n:
+            on = rows & columns[j]
+            j += 1
+            if on and on != rows:
+                pending.append((on, j))
+                rows ^= on
+        firsts.append(_lowest(rows))
+    firsts.sort()
     steps = []
-    for row in sorted(map(_lowest, groups)):
+    for row in firsts:
         bodies = frozenset(body for body, b in bits[1] if row & b)
         steps.append((row, successor_state(bodies)))
     return final, steps, bits

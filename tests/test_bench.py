@@ -14,7 +14,7 @@ from ltlfsat.bench import (
     run_suite,
     write_corpus,
 )
-from ltlfsat.cdlsc import check
+from ltlfsat.cdlsc import check, solve
 from ltlfsat.errors import Limits
 from ltlfsat.formula import (
     FALSE,
@@ -184,11 +184,11 @@ def test_csv_shape():
     text = render_csv(report)
     lines = text.strip().split("\n")
     assert lines[0] == ("id,family,verdict,states_expanded,sat_calls,elapsed_ms,verified,"
-                        "frames,invariant_level")
+                        "frames,invariant_level,table_queries")
     assert len(lines) == 4
     assert lines[1].startswith("precedence-001,pattern,sat,")
-    # a decided row carries its run's frames, an unsat row its invariant
-    # level; the rest are left empty
+    # a decided row carries its run's frames and table queries, an unsat
+    # row its invariant level; the rest are left empty
     spec = BenchSpec(family="conjunction", count=8, seed=3, alphabet_size=4)
     for limits in (Limits(), Limits(max_frames=1)):
         report = run_suite(spec, limits=limits)
@@ -197,17 +197,30 @@ def test_csv_shape():
             fields = line.split(",")
             assert fields[0] == instance_id
             if row.verdict.startswith("abort"):
-                assert (row.frames, row.invariant_level) == (None, None)
-                assert fields[-2:] == ["", ""]
+                assert (row.frames, row.invariant_level, row.table_queries) == (None,) * 3
+                assert fields[-3:] == ["", "", ""]
                 continue
             verdict = check(f, limits=limits)
-            assert (row.frames, row.invariant_level) == (verdict.stats.frames,
-                                                         verdict.invariant_level)
+            stats = verdict.stats
+            assert (row.frames, row.invariant_level, row.table_queries) == (
+                stats.frames, verdict.invariant_level, stats.table_queries)
             level = "" if verdict.sat else str(verdict.invariant_level)
-            assert fields[-2:] == [str(verdict.stats.frames), level]
+            assert fields[-3:] == [str(stats.frames), level, str(stats.table_queries)]
         kinds = {r.verdict for r in report.rows}
         assert {"sat", "unsat"} <= kinds
         assert ("abort:max_frames" in kinds) == (limits.max_frames is not None)
+
+
+def test_rows_report_what_a_truth_table_decided():
+    # a naive row counts the states a table decided, and brute force has no
+    # tables; test_csv_shape checks cdlsc's table queries
+    spec = BenchSpec(family="random", count=12, seed=11)
+    report = run_suite(spec, solver="naive")
+    for (_, f), row in zip(instances(spec), report.rows):
+        assert row.table_queries == solve(f, "naive").stats.table_states
+    assert sum(r.table_queries for r in report.rows) > 0
+    report = run_suite(spec, solver="brute", limits=Limits(brute_bound=3))
+    assert {r.table_queries for r in report.rows} <= {0, None}
 
 
 def test_write_corpus(tmp_path):

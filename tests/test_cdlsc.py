@@ -62,7 +62,7 @@ from ltlfsat.transition import (
     truth_table,
 )
 from test_formula import is_nnf
-from test_transition import _holds
+from test_transition import _holds, wide_pool, wide_state
 
 a, b, tail = Atom("a"), Atom("b"), Atom(TAIL)
 
@@ -277,9 +277,28 @@ def test_table_queries_agree_with_the_frame_solver(seed, picks, core_picks, leve
     filed index, gives the same answer."""
     pool = sorted(closure(to_tnf(to_nnf(gen_random(2, 8, 0.5, seed)))), key=by_uid)
     state = frozenset(pool[p % len(pool)] for p in picks)
-    table = truth_table(state)
-    assume(table is not None)
-    bodies = list(table[4])
+    assume(truth_table(state) is not None)
+    _assert_table_query_agrees(state, pool, core_picks, level)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    picks=st.lists(st.integers(0, 10**6), min_size=24, max_size=24),
+    core_picks=st.lists(st.lists(st.integers(0, 10**6), min_size=1, max_size=3), max_size=6),
+    level=st.integers(0, 1),
+)
+def test_wide_table_queries_agree_with_the_frame_solver(seed, picks, core_picks, level):
+    """The same agreement on states with 15 or 16 relevant atoms, the
+    widest tables a query is decided by."""
+    pool = wide_pool(seed)
+    state = wide_state(pool, picks)
+    assume(state is not None)
+    _assert_table_query_agrees(state, pool, core_picks, level)
+
+
+def _assert_table_query_agrees(state, pool, core_picks, level):
+    bodies = list(truth_table(state)[4])
     nexts = [Next(body) for body in bodies]
     drawn = bodies * 3 + pool
     cores = [frozenset(drawn[p % len(drawn)] for p in core) for core in core_picks]
@@ -804,9 +823,9 @@ def test_frame_solvers_block_cores_added_before_they_exist():
 
 
 def test_frame_zero_shares_the_run_encoder():
-    # six eventualities give states past TABLE_ATOMS at frames 1 and up, so
+    # seven eventualities give states past TABLE_ATOMS at frames 1 and up, so
     # those frames get solvers of their own
-    run = cdlsc._Run(_eventualities(6), raw_tnf=False, limits=Limits(),
+    run = cdlsc._Run(_eventualities(7), raw_tnf=False, limits=Limits(),
                      dump_dir=None, iteration_hook=None)
     created = []
 
@@ -888,9 +907,9 @@ def test_the_recheck_catches_a_wrong_final_position_core():
 
 
 def test_the_recheck_catches_a_wrong_frame_solver_core():
-    # six eventualities give states past TABLE_ATOMS at frames 1 and up, and
-    # only those reach a frame's own solver
-    run = cdlsc._Run(_eventualities(6), raw_tnf=False, limits=Limits(),
+    # seven eventualities give states past TABLE_ATOMS at frames 1 and up,
+    # and only those reach a frame's own solver
+    run = cdlsc._Run(_eventualities(7), raw_tnf=False, limits=Limits(),
                      dump_dir=None, iteration_hook=None)
     spoiling = _spoiling_first_core(lambda solver: solver is not run.encoder.solver)
     with mock.patch.object(SatSolver, "solve", spoiling):
@@ -912,7 +931,7 @@ def test_the_naive_engine_makes_no_recheck():
         result = naive_check(f)
     assert not result.sat
     assert (result.states_expanded, result.sat_calls, result.live_clauses,
-            result.table_states) == (64, 270, 69, 57)
+            result.table_states) == (64, 66, 102, 63)
     assert rechecks.count(False) > 0 and rechecks.count(True) == 0
 
 
@@ -994,8 +1013,8 @@ _DEEP_SEED_1_PATHS = {
     "chain-40": (True, None, 41, 901, 40, 40, 1559, 860, 86, 0, "1b8188aa5662ef01"),
     "eventualities-4": (False, 3, 12, 82, 5, 41, 26, 75, 34, 0, "6606b7e0a9fc20e8"),
     "eventualities-5": (False, 4, 27, 209, 6, 111, 68, 198, 43, 0, "3354765de75983dd"),
-    "eventualities-6": (False, 5, 58, 487, 7, 275, 164, 401, 572, 0, "338dc2d22b9e1261"),
-    "eventualities-7": (False, 6, 121, 1111, 8, 646, 355, 659, 1078, 0, "ac2c7d46004f0fbb"),
+    "eventualities-6": (False, 5, 58, 493, 7, 275, 158, 477, 53, 0, "9bb1ccb66b58c8e3"),
+    "eventualities-7": (False, 6, 121, 1110, 8, 646, 356, 979, 1068, 0, "0a5c1249c35779d8"),
 }
 
 

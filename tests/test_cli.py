@@ -186,7 +186,8 @@ def test_check_stats_line_counts_pushes(capsys):
 @pytest.mark.parametrize("engine, text, code", [
     pytest.param("cdlsc", "p & ! p", EXIT_UNSAT, id="cdlsc"),
     # above the truth-table cap, so naive needs a solver
-    pytest.param("naive", "F a & F b & F c & F d & F e & F f & F g", EXIT_SAT, id="naive"),
+    pytest.param("naive", "F a & F b & F c & F d & F e & F f & F g & F h", EXIT_SAT,
+                 id="naive"),
 ])
 def test_check_stats_line_reports_live_clauses(engine, text, code, capsys):
     assert main(["check", "--oracle", engine, "--formula", text]) == code
@@ -358,8 +359,10 @@ def test_bench_writes_csv_and_cross_checks(tmp_path, capsys):
     assert code == EXIT_OK
     text = (tmp_path / "report.csv").read_text()
     assert text.splitlines()[0] == ("id,family,verdict,states_expanded,sat_calls,elapsed_ms,"
-                                    "verified,frames,invariant_level")
+                                    "verified,frames,invariant_level,table_queries")
     assert "chain-response-001,pattern,sat" in text
+    # every decided row says how many of its queries a truth table decided
+    assert all(line.split(",")[-1].isdigit() for line in text.splitlines()[1:])
     assert "verdicts agree" in capsys.readouterr().out
 
 

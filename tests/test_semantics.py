@@ -18,7 +18,13 @@ from ltlfsat.formula import (
     WeakNext,
     parse,
 )
-from ltlfsat.semantics import _decode_positions, _eval_block, brute_force_sat, evaluate
+from ltlfsat.semantics import (
+    _decode_positions,
+    _eval_block,
+    brute_force_sat,
+    column_masks,
+    evaluate,
+)
 
 a, b, p = Atom("a"), Atom("b"), Atom("p")
 
@@ -180,6 +186,21 @@ def test_brute_force_agrees_with_direct_enumeration(f):
         assert got is not None
         assert evaluate(got, f)
         assert len(got) == len(found)
+
+
+def test_column_masks_equal_their_closed_form():
+    # column j repeats 2**j clear bits then 2**j set bits: one period times
+    # the repunit of the period's width
+    for k in range(17):
+        full = (1 << (1 << k)) - 1
+        closed = []
+        for j in range(k):
+            run = 1 << j
+            closed.append((((1 << run) - 1) << run) * (full // ((1 << 2 * run) - 1)))
+        assert column_masks(k) == tuple(closed), k
+    # and bit r of column j is bit j of r
+    columns = column_masks(5)
+    assert all((columns[j] >> r & 1) == (r >> j & 1) for j in range(5) for r in range(32))
 
 
 @settings(max_examples=80, deadline=None)

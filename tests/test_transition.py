@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -8,7 +9,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ltlfsat
-from ltlfsat.abstraction import Assignment, Encoder, QueryOutcome, expanded_atoms, xnf
+from ltlfsat.abstraction import (
+    Assignment,
+    Encoder,
+    QueryOutcome,
+    expanded_atoms,
+    recipe,
+    union_atoms,
+    xnf,
+)
 from ltlfsat.bench import gen_random
 from ltlfsat.errors import Limits, StateLimitExceeded, TimeoutExceeded
 from ltlfsat.formula import (
@@ -26,12 +35,15 @@ from ltlfsat.formula import (
     Until,
     WeakNext,
     atoms,
+    by_uid,
+    closure,
     parse,
     to_nnf,
     to_tnf,
 )
 from ltlfsat.semantics import brute_force_sat, evaluate
 from ltlfsat.transition import (
+    TABLE_ATOMS,
     TRUE_STATE,
     bfs_depth,
     brute_bound,
@@ -265,6 +277,62 @@ def test_table_matches_sat_enumeration_on_drawn_states(parts):
     state = frozenset().union(*(state_of(to_tnf(to_nnf(g))) for g in parts))
     assume(table_step(state) is not None)
     _assert_table_matches_sat(state, Encoder())
+
+
+def relevant_atoms(state):
+    """How many relevant atoms a state's table has: its literal atoms,
+    next-atoms and Tail."""
+    lits, nexts = union_atoms([recipe(psi) for psi in state])
+    return len(lits | nexts | {tail})
+
+
+def wide_pool(seed):
+    """The closure of a random formula, in uid order, wide enough to draw
+    states near TABLE_ATOMS from."""
+    return sorted(closure(to_tnf(to_nnf(gen_random(3, 40, 0.5, seed)))), key=by_uid)
+
+
+def wide_state(pool, picks):
+    """A state with TABLE_ATOMS - 1 or TABLE_ATOMS relevant atoms: members
+    of `pool` are added in `picks` order until the state has at least
+    TABLE_ATOMS - 1. None when that overshoots the cap or the picks run out
+    first."""
+    state = frozenset()
+    for p in picks:
+        state |= {pool[p % len(pool)]}
+        k = relevant_atoms(state)
+        if k >= TABLE_ATOMS - 1:
+            return state if k <= TABLE_ATOMS else None
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.lists(st.integers(0, 10**6), min_size=24, max_size=24))
+def test_table_matches_sat_enumeration_on_wide_states(seed, picks):
+    state = wide_state(wide_pool(seed), picks)
+    # enumerating thousands of successors on a solver takes seconds
+    assume(state is not None and len(_table(state)[1]) <= 256)
+    _assert_table_matches_sat(state, Encoder())
+
+
+def test_table_splits_successors_in_bounded_memory():
+    """2,187 successors over 16 relevant atoms. Split level by level, the
+    groups of rows held 26.5 MB at the last next-atom; split depth-first,
+    at most one waiting part per next-atom is held."""
+    f = to_tnf(to_nnf(parse(" & ".join(f"(X p{i} | X q{i})" for i in range(1, 8)))))
+    state = state_of(f)
+    assert relevant_atoms(state) == 16
+    _table(state)  # the recipes and columns are cached once per process
+    tracemalloc.start()
+    try:
+        _, steps, _ = _table(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    # one successor per choice of p_i or q_i or both, each under its first row
+    rows = [row for row, _ in steps]
+    assert rows == sorted(rows) and len({target for _, target in steps}) == 3 ** 7
 
 
 def test_bfs_depth_matches_edge_distances():
